@@ -62,7 +62,6 @@ from .baselines import (
     use_embed,
 )
 from .ingest import (
-    attributes_to_similarity,
     attributes_to_similarity_matrix,
     binarize,
     intersect_vertices,

@@ -68,11 +68,11 @@ def _inner_protocol(protocol: EvalProtocol, seed: int, *key: int) -> EvalProtoco
                         neighbor_count=protocol.neighbor_count, seed=fold_seed)
 
 
-def class_mean_deviation(spec, n: int, seed, method: str = "auto") -> float:
+def class_mean_deviation(spec, n: int, seed) -> float:
     """Max over classes of the distance between the class-mean embedding and
     the corresponding normalized block row, for one fully labeled draw."""
     spec = _resolve_spec(spec)
-    collection, labels, _ = sample_collection(spec, n, seed, method)
+    collection, labels, _ = sample_collection(spec, n, seed)
     Z = fuse(collection, labels).Z
     Bt = normalized_blocks(spec)
     devs = [
@@ -119,6 +119,30 @@ def _subset_errors(spec: BlockSpec, n: int, subset_sizes, protocol: EvalProtocol
     return errors, times
 
 
+def _provenance(spec: BlockSpec, protocol: EvalProtocol) -> dict:
+    """Fields shared by every row of one table."""
+    return {"replicates": protocol.replicates, "seed": protocol.seed,
+            "spec_hash": spec.hash(), "code_version": code_version()}
+
+
+def _row(section: str, n, provenance: dict, wall_time_s: float,
+         graphs: int | None = None, errors=None, **fields) -> dict:
+    """One table row. ``graphs`` is the size m of the nested subset 1..m;
+    ``errors`` holds one error per replicate, summarized as mean and sample
+    standard deviation (0 for a single replicate)."""
+    row = {"section": section, "n": int(n)}
+    if graphs is not None:
+        row["graphs"] = f"1-{graphs}" if graphs > 1 else "1"
+    if errors is not None:
+        errors = np.asarray(errors)
+        row["mean_error"] = float(errors.mean())
+        row["std_error"] = float(errors.std(ddof=1)) if len(errors) > 1 else 0.0
+    row.update(fields)
+    row.update(provenance)
+    row["wall_time_s"] = round(wall_time_s, 3)
+    return row
+
+
 def run_simulation(name, n_grid=None, protocol: EvalProtocol | None = None,
                    subsets=None, jobs: int | None = None):
     """Classification error per vertex count and nested graph subset.
@@ -130,23 +154,12 @@ def run_simulation(name, n_grid=None, protocol: EvalProtocol | None = None,
     protocol = protocol or EvalProtocol(folds=10)
     n_grid = DEFAULT_N_GRID if n_grid is None else n_grid
     subset_sizes = list(subsets) if subsets else list(range(1, spec.M + 1))
-    version = code_version()
+    base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:
         errors, times = _subset_errors(spec, int(n), subset_sizes, protocol, jobs)
         for si, m in enumerate(subset_sizes):
-            rows.append({
-                "section": "simulation",
-                "n": int(n),
-                "graphs": f"1-{m}" if m > 1 else "1",
-                "mean_error": float(errors[si].mean()),
-                "std_error": float(errors[si].std(ddof=1)) if protocol.replicates > 1 else 0.0,
-                "replicates": protocol.replicates,
-                "seed": protocol.seed,
-                "spec_hash": spec.hash(),
-                "code_version": version,
-                "wall_time_s": round(times[si], 3),
-            })
+            rows.append(_row("simulation", n, base, times[si], graphs=m, errors=errors[si]))
     return rows
 
 
@@ -156,13 +169,13 @@ def verify_theorems(spec, n_grid=None, protocol: EvalProtocol | None = None,
 
     Emits (a) the class-mean convergence curve over n, (b) the row-uniqueness
     verdict with the simulated prior-coin error floor and the observed error
-    at the largest n, and (c) the nested-subset monotonicity table.
+    at the largest n, and (c) the nested-subset monotonicity table. The
+    observed error in (b) is the all-graphs arm of (c), computed once.
     """
     spec = _resolve_spec(spec)
     protocol = protocol or EvalProtocol(folds=10)
     n_grid = sorted(DEFAULT_N_GRID if n_grid is None else n_grid)
-    version = code_version()
-    base = {"seed": protocol.seed, "spec_hash": spec.hash(), "code_version": version}
+    base = _provenance(spec, protocol)
     rows = []
 
     for n in n_grid:
@@ -171,43 +184,24 @@ def verify_theorems(spec, n_grid=None, protocol: EvalProtocol | None = None,
             class_mean_deviation(spec, int(n), _draw_seed(protocol.seed, n, rep, 11))
             for rep in range(protocol.replicates)
         ]
-        rows.append({
-            "section": "convergence", "n": int(n),
-            "max_dev": float(np.mean(devs)),
-            "replicates": protocol.replicates,
-            "wall_time_s": round(time.perf_counter() - start, 3), **base,
-        })
+        rows.append(_row("convergence", n, base, time.perf_counter() - start,
+                         max_dev=float(np.mean(devs))))
 
     n_top = int(n_grid[-1])
-    start = time.perf_counter()
-    identifiable, witness = is_identifiable(spec)
-    groups = coincident_groups(spec)
-    floor = prior_coin_floor(spec.priors, groups,
-                             seed=int(_draw_seed(protocol.seed, 13).generate_state(1)[0]))
-    errors, _ = _subset_errors(spec, n_top, [spec.M], protocol, jobs)
-    rows.append({
-        "section": "identifiability", "n": n_top,
-        "identifiable": int(identifiable),
-        "witness": "" if witness is None else f"{witness[0]},{witness[1]}",
-        "oracle_floor": floor,
-        "mean_error": float(errors[0].mean()),
-        "std_error": float(errors[0].std(ddof=1)) if protocol.replicates > 1 else 0.0,
-        "replicates": protocol.replicates,
-        "wall_time_s": round(time.perf_counter() - start, 3), **base,
-    })
-
-    start = time.perf_counter()
     subset_sizes = list(range(1, spec.M + 1))
     errors, times = _subset_errors(spec, n_top, subset_sizes, protocol, jobs)
+
+    start = time.perf_counter()
+    identifiable, witness = is_identifiable(spec)
+    floor = prior_coin_floor(spec.priors, coincident_groups(spec),
+                             seed=int(_draw_seed(protocol.seed, 13).generate_state(1)[0]))
+    rows.append(_row("identifiability", n_top, base,
+                     time.perf_counter() - start + times[-1], errors=errors[-1],
+                     identifiable=int(identifiable),
+                     witness="" if witness is None else f"{witness[0]},{witness[1]}",
+                     oracle_floor=floor))
     for si, m in enumerate(subset_sizes):
-        rows.append({
-            "section": "monotonicity", "n": n_top,
-            "graphs": f"1-{m}" if m > 1 else "1",
-            "mean_error": float(errors[si].mean()),
-            "std_error": float(errors[si].std(ddof=1)) if protocol.replicates > 1 else 0.0,
-            "replicates": protocol.replicates,
-            "wall_time_s": round(times[si], 3), **base,
-        })
+        rows.append(_row("monotonicity", n_top, base, times[si], graphs=m, errors=errors[si]))
     return rows
 
 
@@ -222,7 +216,7 @@ def run_baseline(name, method: str, n_grid=None, protocol: EvalProtocol | None =
     spec = _resolve_spec(name)
     protocol = protocol or EvalProtocol(folds=10)
     n_grid = DEFAULT_N_GRID if n_grid is None else n_grid
-    version = code_version()
+    base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:
         collection, labels, _ = sample_collection(spec, int(n), _draw_seed(protocol.seed, n))
@@ -234,16 +228,8 @@ def run_baseline(name, method: str, n_grid=None, protocol: EvalProtocol | None =
                 d_star = ""
             else:
                 d_star, report = best_d_error(method, sub, labels, protocol, d_max)
-            rows.append({
-                "section": "baseline", "n": int(n),
-                "graphs": f"1-{m}" if m > 1 else "1",
-                "method": method, "best_d": d_star,
-                "mean_error": report.mean_error, "std_error": report.std_error,
-                "replicates": protocol.replicates,
-                "seed": protocol.seed, "spec_hash": spec.hash(),
-                "code_version": version,
-                "wall_time_s": round(time.perf_counter() - start, 3),
-            })
+            rows.append(_row("baseline", n, base, time.perf_counter() - start, graphs=m,
+                             errors=report.per_replicate, method=method, best_d=d_star))
     return rows
 
 

@@ -18,7 +18,8 @@ class EdgeList:
     """Sparse graph as parallel arrays (u, v, w) over n vertices.
 
     Undirected edges are stored once; consumers apply them in both
-    directions unless ``directed`` is set. Indices are 0-based.
+    directions unless ``directed`` is set. Indices are 0-based and must lie
+    in [0, n); weights must be finite.
     """
 
     u: np.ndarray
@@ -37,10 +38,15 @@ class EdgeList:
             u = u.astype(np.int64)
         if v.dtype.kind != "i":
             v = v.astype(np.int64)
+        n = int(self.n)
+        if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+            raise ValueError(f"vertex index out of range for n={n}")
+        if not np.isfinite(w).all():
+            raise ValueError("non-finite edge weight")
         for name, arr in (("u", u), ("v", v), ("w", w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @property
     def num_edges(self) -> int:
@@ -85,6 +91,8 @@ class DenseGraph:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("non-finite edge weight")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -175,15 +183,6 @@ def validate_collection(collection: GraphCollection, labels: LabelVector) -> Val
             report.violations.append(
                 f"vertex-count mismatch: graph {m + 1} has n={g.n}, graph 1 has n={n}"
             )
-        if isinstance(g, EdgeList) and g.num_edges:
-            lo = min(int(g.u.min()), int(g.v.min()))
-            hi = max(int(g.u.max()), int(g.v.max()))
-            if lo < 0 or hi >= g.n:
-                report.violations.append(
-                    f"graph {m + 1}: vertex index out of range [0, {g.n - 1}]"
-                )
-        if isinstance(g, EdgeList) and not np.isfinite(g.w).all():
-            report.violations.append(f"graph {m + 1}: non-finite edge weight")
     y = labels.y
     if len(y) != n:
         report.violations.append(
@@ -254,7 +253,10 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
         raise ValueError(f"{path}: vertex indices must be >= 1")
     if n is None:
         n = int(max(u.max(), v.max())) + 1 if len(u) else 0
-    return make_edgelist(u, v, w, n=n, directed=directed, simple=simple)
+    try:
+        return make_edgelist(u, v, w, n=n, directed=directed, simple=simple)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_edgelist(e: EdgeList, path) -> None:

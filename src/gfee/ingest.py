@@ -1,9 +1,9 @@
 """Loaders and transforms for real-data experiments.
 
-Vertex attributes become dense similarity graphs via 1 - distance (cosine or
-Euclidean); weighted graphs can be binarized; graphs with per-vertex id maps
-are intersected onto a common vertex set. A JSON manifest wires these steps
-together so a dataset is configuration, not code.
+Vertex attributes become dense n x n similarity graphs via 1 - distance
+(cosine or Euclidean); weighted graphs can be binarized; graphs with
+per-vertex id maps are intersected onto a common vertex set. A JSON manifest
+wires these steps together so a dataset is configuration, not code.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from .graph import (
     read_labels,
     read_vertex_ids,
 )
-
-# full edge expansion of a dense similarity graph is quadratic; beyond this
-# keep the matrix form and let the embedding consume it directly
-DENSE_EDGELIST_LIMIT = 20000
-
 
 def _pairwise_distance(X: np.ndarray, metric: str) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
@@ -72,18 +67,6 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
     return DenseGraph(S)
 
 
-def attributes_to_similarity(X, metric: str = "cosine") -> EdgeList:
-    """Similarity graph as a dense edgelist (all pairs i <= j, diagonal kept)."""
-    dense = attributes_to_similarity_matrix(X, metric)
-    n = dense.n
-    if n > DENSE_EDGELIST_LIMIT:
-        raise ValueError(
-            f"n={n} too large for edge expansion; use attributes_to_similarity_matrix"
-        )
-    u, v = np.triu_indices(n)
-    return EdgeList(u, v, dense.matrix[u, v], n=n, directed=False)
-
-
 def binarize(e: EdgeList, threshold: float = 0.0) -> EdgeList:
     """Weights above the threshold become 1; others are dropped."""
     keep = e.w > threshold
@@ -96,7 +79,8 @@ def intersect_vertices(graphs, id_lists):
 
     Vertices are reindexed in sorted common-id order. Returns
     (GraphCollection, common_ids, removed_per_graph); edges survive exactly
-    when both endpoints do. Raises on an empty intersection.
+    when both endpoints do, and a DenseGraph keeps the submatrix at the
+    common vertices. Raises on an empty intersection.
     """
     if len(graphs) != len(id_lists):
         raise ValueError("one id list per graph required")
@@ -116,10 +100,16 @@ def intersect_vertices(graphs, id_lists):
     out, removed = [], []
     for g, ids in zip(graphs, id_lists):
         remap = np.array([new_index.get(vid, -1) for vid in ids], dtype=np.int64)
-        removed.append(ids[remap < 0])
-        keep = (remap[g.u] >= 0) & (remap[g.v] >= 0)
-        out.append(EdgeList(remap[g.u[keep]], remap[g.v[keep]], g.w[keep],
-                            n=len(order), directed=g.directed))
+        kept = remap >= 0
+        removed.append(ids[~kept])
+        if isinstance(g, DenseGraph):
+            at = np.empty(len(order), dtype=np.int64)
+            at[remap[kept]] = np.flatnonzero(kept)
+            out.append(DenseGraph(g.matrix[np.ix_(at, at)], directed=g.directed))
+        else:
+            keep = kept[g.u] & kept[g.v]
+            out.append(EdgeList(remap[g.u[keep]], remap[g.v[keep]], g.w[keep],
+                                n=len(order), directed=g.directed))
     return GraphCollection(tuple(out)), np.asarray(order, dtype=object), removed
 
 
@@ -154,7 +144,7 @@ def load_manifest(path):
                 g = binarize(g, entry["binarize"])
         elif "attributes" in entry:
             X = read_attributes(base / entry["attributes"])
-            g = attributes_to_similarity(X, entry.get("metric", "cosine"))
+            g = attributes_to_similarity_matrix(X, entry.get("metric", "cosine"))
         else:
             raise ValueError("manifest graph entry needs 'edgelist' or 'attributes'")
         graphs.append(g)

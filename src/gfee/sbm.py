@@ -5,9 +5,10 @@ block probability matrix per graph, and an optional per-vertex degree
 parameter law. Degree parameters are drawn once per replicate and shared
 by every graph in the collection (the vertex set is common).
 
-Two exact edge samplers are provided: per-pair Bernoulli for small n and a
-geometric skip sampler over class blocks (with thinning for the
-degree-corrected case) for large n. They agree in distribution.
+Edges are drawn exactly by a geometric skip sampler over class blocks, in
+time proportional to the number of edges. In the degree-corrected case each
+block is sampled at its largest edge probability and the candidate pairs are
+then thinned to theta_i theta_j B[y_i, y_j].
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .graph import EdgeList, GraphCollection, LabelVector
-
-# per-pair sampling is quadratic in n; switch to the block sampler above this
-PAIRWISE_LIMIT = 5000
-
 
 @dataclass(frozen=True)
 class DegreeLaw:
@@ -198,81 +195,52 @@ def _unrank_triu(t: np.ndarray, m: int):
     return a, b
 
 
-def _sample_pairwise(y0, B, theta, rng):
-    """Exact per-pair Bernoulli over all i < j."""
-    n = len(y0)
-    us, vs = [], []
-    for i in range(n - 1):
-        p = B[y0[i], y0[i + 1:]]
-        if theta is not None:
-            p = p * (theta[i] * theta[i + 1:])
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
-        if len(hits):
-            us.append(np.full(len(hits), i, dtype=np.int64))
-            vs.append(hits + i + 1)
-    if not us:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(us), np.concatenate(vs)
-
-
 def _sample_blockwise(y0, B, theta, rng):
-    """Skip-sample each class block; degree correction via thinning against
-    the per-class upper bound."""
+    """Skip-sample each class block at P = min(B * tmax_k * tmax_l, 1), then
+    thin all candidates at once, so the block draws consume the same stream
+    with or without theta. Pairs come back once each, with u < v."""
     K = B.shape[0]
     members = [np.flatnonzero(y0 == k) for k in range(K)]
+    P = B
     if theta is not None:
         tmax = np.array([theta[m].max() if len(m) else 0.0 for m in members])
-    us, vs = [], []
+        P = np.minimum(B * np.outer(tmax, tmax), 1.0)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for k in range(K):
         for l in range(k, K):
             mk, ml = members[k], members[l]
-            if not len(mk) or not len(ml):
-                continue
-            scale = 1.0 if theta is None else tmax[k] * tmax[l]
-            p_up = min(B[k, l] * scale, 1.0)
             if k == l:
-                N = len(mk) * (len(mk) - 1) // 2
-                t = _bernoulli_indices(N, p_up, rng)
+                t = _bernoulli_indices(len(mk) * (len(mk) - 1) // 2, P[k, l], rng)
                 a, b = _unrank_triu(t, len(mk))
-                u, v = mk[a], mk[b]
+                us.append(mk[a])
+                vs.append(mk[b])
             else:
-                N = len(mk) * len(ml)
-                t = _bernoulli_indices(N, p_up, rng)
-                u, v = mk[t // len(ml)], ml[t % len(ml)]
-            if theta is not None and len(u):
-                keep = rng.random(len(u)) < theta[u] * theta[v] * B[k, l] / p_up
-                u, v = u[keep], v[keep]
-            if len(u):
-                us.append(u)
-                vs.append(v)
-    if not us:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(us), np.concatenate(vs)
+                t = _bernoulli_indices(len(mk) * len(ml), P[k, l], rng)
+                a, b = mk[t // len(ml)], ml[t % len(ml)]
+                us.append(np.minimum(a, b))
+                vs.append(np.maximum(a, b))
+    u, v = np.concatenate(us), np.concatenate(vs)
+    if theta is not None:
+        yu, yv = y0[u], y0[v]
+        keep = rng.random(len(u)) < theta[u] * theta[v] * B[yu, yv] / P[yu, yv]
+        u, v = u[keep], v[keep]
+    return u, v
 
 
-def _sample_edges(labels: LabelVector, B, theta, rng, method: str) -> EdgeList:
+def _sample_edges(labels: LabelVector, B, theta, rng) -> EdgeList:
     y0 = labels.y - 1
     if (y0 < 0).any():
         raise ValueError("generator labels must all be known (1..K)")
-    B = np.asarray(B, dtype=np.float64)
-    if method == "auto":
-        method = "pairwise" if labels.n <= PAIRWISE_LIMIT else "block"
-    if method == "pairwise":
-        u, v = _sample_pairwise(y0, B, theta, rng)
-    elif method == "block":
-        u, v = _sample_blockwise(y0, B, theta, rng)
-    else:
-        raise ValueError(f"unknown sampling method: {method!r}")
+    u, v = _sample_blockwise(y0, np.asarray(B, dtype=np.float64), theta, rng)
     return EdgeList(u, v, np.ones(len(u)), n=labels.n, directed=False)
 
 
-def sample_sbm(labels: LabelVector, B, rng=None, method: str = "auto") -> EdgeList:
+def sample_sbm(labels: LabelVector, B, rng=None) -> EdgeList:
     """One undirected SBM graph: edge i<j present w.p. B[y_i, y_j], no loops."""
-    return _sample_edges(labels, B, None, np.random.default_rng(rng), method)
+    return _sample_edges(labels, B, None, np.random.default_rng(rng))
 
 
-def sample_dcsbm(labels: LabelVector, B, theta, rng=None,
-                 method: str = "auto") -> EdgeList:
+def sample_dcsbm(labels: LabelVector, B, theta, rng=None) -> EdgeList:
     """Degree-corrected SBM graph: edge probability theta_i theta_j B[y_i, y_j].
 
     ``theta`` is the shared per-vertex parameter vector for this replicate
@@ -283,11 +251,10 @@ def sample_dcsbm(labels: LabelVector, B, theta, rng=None,
     peak = theta.max() ** 2 * B.max()
     if peak > 1:
         raise ValueError(f"theta pushes edge probability to {peak:.3g} > 1")
-    return _sample_edges(labels, B, theta, np.random.default_rng(rng), method)
+    return _sample_edges(labels, B, theta, np.random.default_rng(rng))
 
 
-def sample_collection(spec: BlockSpec, n: int, seed,
-                      method: str = "auto"):
+def sample_collection(spec: BlockSpec, n: int, seed):
     """Draw labels, degree parameters (if any) and all M graphs.
 
     Returns (GraphCollection, LabelVector, theta-or-None). Graph streams are
@@ -304,9 +271,9 @@ def sample_collection(spec: BlockSpec, n: int, seed,
     for m, B in enumerate(spec.blocks):
         rng = np.random.default_rng(streams[m + 2])
         if theta is None:
-            graphs.append(sample_sbm(labels, B, rng, method))
+            graphs.append(sample_sbm(labels, B, rng))
         else:
-            graphs.append(sample_dcsbm(labels, B, theta, rng, method))
+            graphs.append(sample_dcsbm(labels, B, theta, rng))
     return GraphCollection(tuple(graphs)), labels, theta
 
 

@@ -51,3 +51,24 @@ def empirical_block_density(e, y, k, l):
         pairs = len(mk) * (len(mk) - 1)
         return A[np.ix_(mk, mk)].sum() / pairs
     return A[np.ix_(mk, ml)].sum() / (len(mk) * len(ml))
+
+
+def sample_pairwise(labels, B, theta=None, rng=None):
+    """Reference SBM/DC-SBM sampler: one Bernoulli draw per pair i < j.
+
+    Quadratic in n; the library's block skip sampler is compared against it
+    in distribution. Returns the (u, v) arrays of the drawn edges.
+    """
+    y0 = labels.y - 1
+    B = np.asarray(B, dtype=np.float64)
+    rng = np.random.default_rng(rng)
+    n = len(y0)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i in range(n - 1):
+        p = B[y0[i], y0[i + 1:]]
+        if theta is not None:
+            p = p * (theta[i] * theta[i + 1:])
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
+        us.append(np.full(len(hits), i, dtype=np.int64))
+        vs.append(hits + i + 1)
+    return np.concatenate(us), np.concatenate(vs)

@@ -71,6 +71,9 @@ def test_verify_theorems_sections():
     assert ident["identifiable"] == 1 and ident["oracle_floor"] == 0.0
     mono = [r["mean_error"] for r in rows if r["section"] == "monotonicity"]
     assert mono[2] < mono[1] < mono[0]
+    # the identifiability error is the all-graphs monotonicity arm
+    last = [r for r in rows if r["section"] == "monotonicity"][-1]
+    assert (ident["mean_error"], ident["std_error"]) == (last["mean_error"], last["std_error"])
 
 
 def test_verify_theorems_non_identifiable_floor():

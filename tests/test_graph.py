@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gfee import (
+    DenseGraph,
     EdgeList,
     GraphCollection,
     as_labels,
@@ -37,17 +38,31 @@ def test_validate_no_training_labels():
     assert any("no training labels" in v for v in report.violations)
 
 
-def test_validate_empty_class_and_range():
-    g = make_edgelist([0, 2], [1, 5], n=4)  # index 5 out of range
+def test_validate_empty_class():
+    g = make_edgelist([0, 2], [1, 3], n=4)
     report = validate_collection(GraphCollection((g,)), as_labels([1, 1, 1, 0], K=2))
-    assert any("out of range" in v for v in report.violations)
-    assert any("empty class 2" in v for v in report.violations)
+    assert report.violations == ["empty class 2"]
 
 
 def test_validate_is_pure():
     g = make_edgelist([0], [1], n=3)
     coll, y = GraphCollection((g,)), as_labels([1, 0, 1])
     assert validate_collection(coll, y).violations == validate_collection(coll, y).violations
+
+
+@pytest.mark.parametrize("u, v, w, match", [
+    ([0, 2], [1, 4], [1.0, 1.0], "out of range"),
+    ([-1, 0], [1, 2], [1.0, 1.0], "out of range"),  # -1 would embed as vertex n - 1
+    ([0, 1], [1, 2], [1.0, np.nan], "non-finite"),
+], ids=["index-too-large", "negative-index", "nan-weight"])
+def test_edgelist_rejects_bad_edges(u, v, w, match):
+    with pytest.raises(ValueError, match=match):
+        EdgeList(np.array(u), np.array(v), np.array(w), n=4, directed=True)
+
+
+def test_dense_graph_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseGraph(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
 
 def test_to_adjacency_single_edge_symmetric():

@@ -5,22 +5,21 @@ import pytest
 
 from gfee import (
     as_labels,
-    attributes_to_similarity,
     attributes_to_similarity_matrix,
     binarize,
     build_encoder,
     embed_graph,
+    from_adjacency,
     intersect_vertices,
     load_manifest,
     make_edgelist,
     read_attributes,
-    to_adjacency,
 )
 
 
 def test_cosine_identical_rows():
     X = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 3.0]])
-    S = to_adjacency(attributes_to_similarity(X, "cosine"))
+    S = attributes_to_similarity_matrix(X, "cosine").matrix
     assert np.isclose(S[0, 1], 1.0)  # parallel rows: distance 0
     assert np.isclose(S[0, 2], 0.0)  # orthogonal rows: distance 1
     assert np.allclose(np.diag(S), 1.0)
@@ -28,7 +27,7 @@ def test_cosine_identical_rows():
 
 def test_cosine_zero_rows_maximally_distant():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
-    S = to_adjacency(attributes_to_similarity(X, "cosine"))
+    S = attributes_to_similarity_matrix(X, "cosine").matrix
     assert S[0, 1] == 0.0 and S[1, 0] == 0.0
     assert S[1, 1] == 0.0  # zero row is distant even from itself
     assert S[0, 0] == 1.0
@@ -37,7 +36,7 @@ def test_cosine_zero_rows_maximally_distant():
 def test_euclidean_negative_similarity_passes_with_warning():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.warns(UserWarning, match="negative"):
-        S = to_adjacency(attributes_to_similarity(X, "euclidean"))
+        S = attributes_to_similarity_matrix(X, "euclidean").matrix
     assert np.isclose(S[0, 1], 1.0 - np.sqrt(2.0))
     assert np.allclose(np.diag(S), 1.0)
 
@@ -53,9 +52,9 @@ def test_similarity_symmetric():
 
 def test_similarity_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
-        attributes_to_similarity(np.array([[1.0, np.nan]]), "cosine")
+        attributes_to_similarity_matrix(np.array([[1.0, np.nan]]), "cosine")
     with pytest.raises(ValueError, match="metric"):
-        attributes_to_similarity(np.ones((2, 2)), "manhattan")
+        attributes_to_similarity_matrix(np.ones((2, 2)), "manhattan")
 
 
 @pytest.mark.filterwarnings("ignore:similarity matrix contains negative")
@@ -64,8 +63,8 @@ def test_dense_fast_path_matches_edgelist_embedding():
     X = rng.normal(0, 1, (20, 5))
     y = as_labels(rng.permutation([1] * 10 + [2] * 10))
     enc = build_encoder(y)
-    edges = attributes_to_similarity(X, "cosine")
     dense = attributes_to_similarity_matrix(X, "cosine")
+    edges = from_adjacency(dense.matrix)
     assert np.allclose(embed_graph(edges, enc, y), embed_graph(dense, enc, y), atol=1e-12)
 
 
@@ -157,7 +156,7 @@ def test_manifest_load(tmp_path):
     assert collection.M == 2 and collection.n == 4
     assert np.all(collection.graphs[0].w == 1.0)  # binarized
     assert labels.K == 2
-    S = to_adjacency(collection.graphs[1])
+    S = collection.graphs[1].matrix
     assert np.isclose(S[0, 1], 1.0, atol=0.01)  # near-parallel attribute rows
 
 
@@ -183,3 +182,33 @@ def test_manifest_with_ids(tmp_path):
     # g1 keeps only (b, c); g2 keeps (b, c)
     assert collection.graphs[0].num_edges == 1
     assert collection.graphs[1].num_edges == 1
+
+
+@pytest.mark.filterwarnings("ignore:similarity matrix contains negative")
+def test_manifest_attributes_with_ids(tmp_path):
+    X = np.random.default_rng(4).normal(0, 1, (6, 3))
+    np.savetxt(tmp_path / "attrs.csv", X, delimiter=",")
+    (tmp_path / "attr_ids.txt").write_text("f\ne\nd\nc\nb\na\n")
+    (tmp_path / "g1.txt").write_text("1 2\n2 3\n3 4\n4 5\n")
+    (tmp_path / "ids1.txt").write_text("a\nb\nc\nd\ne\n")
+    (tmp_path / "labels.txt").write_text("1\n2\n1\n2\n1\n")
+    (tmp_path / "label_ids.txt").write_text("a\nb\nc\nd\ne\n")
+    manifest = {
+        "labels": "labels.txt",
+        "label_ids": "label_ids.txt",
+        "graphs": [
+            {"edgelist": "g1.txt", "ids": "ids1.txt"},
+            {"attributes": "attrs.csv", "metric": "cosine", "ids": "attr_ids.txt"},
+        ],
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    collection, labels = load_manifest(tmp_path / "manifest.json")
+    assert collection.n == 5  # id f has no edgelist vertex
+    # reference: the same similarity graph as an edgelist, intersected edge by edge
+    g1 = make_edgelist([0, 1, 2, 3], [1, 2, 3, 4], n=5)
+    edges = from_adjacency(attributes_to_similarity_matrix(X, "cosine").matrix)
+    ref, _, _ = intersect_vertices([g1, edges], [list("abcde"), list("fedcba")])
+    enc = build_encoder(labels)
+    for got, want in zip(collection.graphs, ref.graphs):
+        diff = embed_graph(got, enc, labels) - embed_graph(want, enc, labels)
+        assert np.abs(diff).max() <= 1e-12

@@ -20,7 +20,7 @@ from gfee import (
 )
 from gfee.sbm import _bernoulli_indices, _unrank_triu
 
-from helpers import empirical_block_density
+from helpers import empirical_block_density, sample_pairwise
 
 
 def test_named_specs():
@@ -165,9 +165,9 @@ def test_bernoulli_indices_statistics():
 def test_samplers_agree_in_distribution():
     spec = named_spec("sim1")
     y = sample_labels(1500, spec.priors, 1)
-    e1 = sample_sbm(y, spec.blocks[0], 2, method="pairwise")
-    e2 = sample_sbm(y, spec.blocks[0], 3, method="block")
-    d1 = np.bincount(np.concatenate([e1.u, e1.v]), minlength=1500)
+    u1, v1 = sample_pairwise(y, spec.blocks[0], None, 2)
+    e2 = sample_sbm(y, spec.blocks[0], 3)
+    d1 = np.bincount(np.concatenate([u1, v1]), minlength=1500)
     d2 = np.bincount(np.concatenate([e2.u, e2.v]), minlength=1500)
     assert stats.ks_2samp(d1, d2).pvalue > 0.001
     assert abs(d1.mean() - d2.mean()) / d1.mean() < 0.02
@@ -177,9 +177,9 @@ def test_samplers_agree_degree_corrected():
     spec = named_spec("sim2")
     y = sample_labels(1500, spec.priors, 1)
     theta = np.random.default_rng(5).uniform(0.1, 0.5, 1500)
-    e1 = sample_dcsbm(y, spec.blocks[0], theta, 4, method="pairwise")
-    e2 = sample_dcsbm(y, spec.blocks[0], theta, 5, method="block")
-    d1 = np.bincount(np.concatenate([e1.u, e1.v]), minlength=1500)
+    u1, v1 = sample_pairwise(y, spec.blocks[0], theta, 4)
+    e2 = sample_dcsbm(y, spec.blocks[0], theta, 5)
+    d1 = np.bincount(np.concatenate([u1, v1]), minlength=1500)
     d2 = np.bincount(np.concatenate([e2.u, e2.v]), minlength=1500)
     assert stats.ks_2samp(d1, d2).pvalue > 0.001
 
