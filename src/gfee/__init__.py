@@ -18,8 +18,6 @@ from .graph import (
     write_edgelist,
 )
 from .embedding import (
-    EmptyClassError,
-    EncoderMatrix,
     FusionEmbedding,
     build_encoder,
     class_counts,
@@ -51,7 +49,6 @@ from .sbm import (
     sample_theta,
 )
 from .baselines import (
-    SpectralConfig,
     best_d_error,
     mase_embed,
     omnibus_embed,

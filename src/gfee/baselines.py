@@ -11,7 +11,6 @@ reproducible across platforms.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .classify import EvalProtocol, cross_validate_embedding
-from .graph import DenseGraph, EdgeList, GraphCollection, LabelVector
+from .graph import GraphCollection, LabelVector, adjacency_terms
 
 # matrices at most this wide use exact dense decompositions
 DENSE_LIMIT = 600
@@ -27,32 +26,8 @@ DENSE_LIMIT = 600
 _RANK_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Baseline choice and the dimension sweep bound."""
-
-    method: str
-    d_max: int = 30
-
-    def __post_init__(self):
-        if self.method not in ("omnibus", "mase", "use"):
-            raise ValueError(f"unknown spectral method: {self.method!r}")
-        if self.d_max < 1:
-            raise ValueError("d_max must be >= 1")
-
-
 def _to_csr(graph) -> sp.csr_matrix:
-    if isinstance(graph, DenseGraph):
-        return sp.csr_matrix(graph.matrix)
-    e: EdgeList = graph
-    if e.directed:
-        rows, cols, data = e.u, e.v, e.w
-    else:
-        off = e.u != e.v
-        rows = np.concatenate([e.u, e.v[off]])
-        cols = np.concatenate([e.v, e.u[off]])
-        data = np.concatenate([e.w, e.w[off]])
-    return sp.csr_matrix((data, (rows, cols)), shape=(e.n, e.n))
+    return sum(sp.csr_matrix(T) for T in adjacency_terms(graph))
 
 
 def _fix_signs(U: np.ndarray, V: np.ndarray | None = None):

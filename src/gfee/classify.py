@@ -9,6 +9,7 @@ labels never reach the encoder matrix. Neighbor search is exact brute force.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,7 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> Erro
     per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
     per_replicate = np.empty(protocol.replicates)
     confusion = np.zeros((K, K), dtype=np.int64)
+    short_folds = 0
     for r in range(protocol.replicates):
         rng = _replicate_rng(protocol.seed, r)
         assign = stratified_folds(y, protocol.folds, rng)
@@ -143,6 +145,7 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> Erro
             train = (assign >= 0) & ~test
             if not test.any():
                 continue
+            short_folds += int((np.bincount(y[train], minlength=K + 1)[1:] == 0).any())
             points = embed_for_fold(train, test)
             preds = _knn_batch(points[train], y[train], points[test], k, K)
             truth = y[test]
@@ -152,6 +155,9 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> Erro
             wrong += miss
             total += int(test.sum())
         per_replicate[r] = wrong / total
+    if short_folds:
+        warnings.warn(f"{short_folds} fold(s) trained without some class, "
+                      "which those folds cannot predict", stacklevel=3)
     std = float(per_replicate.std(ddof=1)) if protocol.replicates > 1 else 0.0
     return ErrorReport(
         mean_error=float(per_replicate.mean()),

@@ -1,9 +1,10 @@
 """Fusion encoder embedding.
 
 Builds the class-normalized one-hot matrix W from the label vector, forms
-each per-graph product A_m @ W by direct edge iteration (no dense adjacency),
-row-normalizes, and concatenates the per-graph blocks. All accumulation is
-double precision; unknown labels (0) contribute nothing to W.
+each per-graph product A_m @ W as a sparse product over the graph's stored
+edges (no dense adjacency), row-normalizes, and concatenates the per-graph
+blocks. All accumulation is double precision; unknown labels (0) contribute
+nothing to W, and a class with no labeled vertex gets a zero column.
 """
 
 from __future__ import annotations
@@ -14,16 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DenseGraph, GraphCollection, LabelVector, as_labels
-
-
-class EmptyClassError(ValueError):
-    """Raised when a class in 1..K has no labeled vertex (W column undefined)."""
-
-    def __init__(self, classes):
-        self.classes = tuple(int(k) for k in classes)
-        plural = "es" if len(self.classes) > 1 else ""
-        super().__init__(f"empty class{plural}: {', '.join(map(str, self.classes))}")
+from .graph import GraphCollection, LabelVector, adjacency_terms, as_labels
 
 
 def class_counts(labels: LabelVector) -> np.ndarray:
@@ -32,90 +24,30 @@ def class_counts(labels: LabelVector) -> np.ndarray:
     if labels.K < 1:
         raise ValueError("K must be >= 1")
     y = labels.y
-    counts = np.bincount(y[y > 0], minlength=labels.K + 1)[1:]
-    empty = np.flatnonzero(counts == 0) + 1
-    if len(empty):
-        raise EmptyClassError(empty)
-    return counts
+    return np.bincount(y[y > 0], minlength=labels.K + 1)[1:]
 
 
-@dataclass(frozen=True)
-class EncoderMatrix:
-    """One-hot encoder W (n x K) with 1/n_k at (i, y_i) for labeled vertices."""
-
-    W: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.W.shape[1]
-
-
-def build_encoder(labels: LabelVector) -> EncoderMatrix:
+def build_encoder(labels: LabelVector) -> np.ndarray:
+    """Encoder W (n x K) with 1/n_k at (i, y_i) for labeled vertices."""
     labels = as_labels(labels)
     counts = class_counts(labels)
     y = labels.y
     W = np.zeros((labels.n, labels.K))
     known = y > 0
     W[np.flatnonzero(known), y[known] - 1] = 1.0 / counts[y[known] - 1]
-    return EncoderMatrix(W, counts)
+    return W
 
 
-def _encoder_values(W: np.ndarray, y: np.ndarray):
-    """Column index and value of each W row's single nonzero.
+def embed_graph(graph, W: np.ndarray, normalize: bool = True) -> np.ndarray:
+    """Per-graph embedding Z_m = A_m @ W, then row-normalized.
 
-    Unknown-label rows get value 0 and column 0: they then accumulate an
-    exact 0.0 into a valid bin, which avoids per-edge masking.
+    Zero rows of the product stay zero; nonzero rows end up with unit
+    Euclidean norm.
     """
-    col = np.maximum(y - 1, 0)
-    val = np.zeros(len(y))
-    known = y > 0
-    val[known] = W[np.flatnonzero(known), col[known]]
-    return col, val
-
-
-def _accumulate_edges(dst, src, w, col, val, n, K):
-    """Add w * W[src, :] onto rows dst; returns a flat n*K accumulator."""
-    idx = dst * np.int64(K)
-    idx += col[src]
-    acc = np.bincount(idx, weights=w * val[src], minlength=n * K)
-    return acc.astype(np.float64, copy=False)
-
-
-def embed_graph(graph, encoder, labels: LabelVector, normalize: bool = True) -> np.ndarray:
-    """Per-graph embedding Z_m = A_m @ W via edge iteration, then row-normalized.
-
-    ``encoder`` may be an EncoderMatrix or a raw n x K array whose rows have
-    at most one nonzero, at column y_i - 1 (the encoder structure). Zero rows
-    of the product stay zero; nonzero rows end up with unit Euclidean norm.
-    """
-    labels = as_labels(labels)
-    W = encoder.W if isinstance(encoder, EncoderMatrix) else np.asarray(encoder)
-    if graph.n != labels.n or W.shape[0] != labels.n:
-        raise ValueError("graph, encoder and labels disagree on vertex count")
-    n, K = W.shape
-
-    if isinstance(graph, DenseGraph):
-        Z = graph.matrix @ W
-    else:
-        y = labels.y
-        col, val = _encoder_values(W, y)
-        acc = _accumulate_edges(graph.u, graph.v, graph.w, col, val, n, K)
-        if not graph.directed:
-            loops = graph.u == graph.v  # a self-loop hits the diagonal once
-            if loops.any():
-                off = ~loops
-                acc += _accumulate_edges(
-                    graph.v[off], graph.u[off], graph.w[off], col, val, n, K
-                )
-            else:
-                acc += _accumulate_edges(graph.v, graph.u, graph.w, col, val, n, K)
-        Z = acc.reshape(n, K)
-
+    W = np.asarray(W)
+    if W.shape[0] != graph.n:
+        raise ValueError("graph and encoder disagree on vertex count")
+    Z = sum(T @ W for T in adjacency_terms(graph))
     if normalize:
         norms = np.linalg.norm(Z, axis=1)
         nz = norms > 0
@@ -149,13 +81,13 @@ def fuse(collection: GraphCollection, labels: LabelVector,
     every vertex, labeled or not.
     """
     labels = as_labels(labels)
-    encoder = build_encoder(labels)
+    W = build_encoder(labels)
     graphs = collection.graphs
     if jobs and jobs > 1 and len(graphs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(lambda g: embed_graph(g, encoder, labels), graphs))
+            blocks = list(pool.map(lambda g: embed_graph(g, W), graphs))
     else:
-        blocks = [embed_graph(g, encoder, labels) for g in graphs]
+        blocks = [embed_graph(g, W) for g in graphs]
     return FusionEmbedding(np.hstack(blocks), M=len(graphs), K=labels.K)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -199,19 +200,35 @@ def validate_collection(collection: GraphCollection, labels: LabelVector) -> Val
     return report
 
 
-def to_adjacency(e, symmetric: bool | None = None) -> np.ndarray:
-    """Densify a graph; duplicate edges are summed. Oracle/baseline use only.
+def adjacency_terms(g) -> list:
+    """Matrices that sum to the adjacency matrix A of a graph.
 
-    ``symmetric`` defaults to the graph's undirected flag. Self-loops land
-    on the diagonal once regardless of symmetry.
+    An edge (u, v, w) adds w at A[u, v]; an undirected edge also adds it at
+    A[v, u], except a self-loop, which counts once. Duplicate edges sum.
+    The sparse terms are COO arrays over the graph's own (u, v, w) arrays.
+    """
+    if isinstance(g, DenseGraph):
+        return [g.matrix]
+    shape = (g.n, g.n)
+    A = sp.coo_array((g.w, (g.u, g.v)), shape=shape)
+    if g.directed:
+        return [A]
+    off = g.u != g.v
+    if off.all():
+        return [A, A.T]
+    return [A, sp.coo_array((g.w[off], (g.v[off], g.u[off])), shape=shape)]
+
+
+def to_adjacency(e) -> np.ndarray:
+    """Densify a graph; duplicate edges are summed. Test oracle only.
+
+    Undirected edges land in both directions, self-loops on the diagonal once.
     """
     if isinstance(e, DenseGraph):
         return np.array(e.matrix)
-    if symmetric is None:
-        symmetric = not e.directed
     A = np.zeros((e.n, e.n))
     np.add.at(A, (e.u, e.v), e.w)
-    if symmetric:
+    if not e.directed:
         off = e.u != e.v
         np.add.at(A, (e.v[off], e.u[off]), e.w[off])
     return A

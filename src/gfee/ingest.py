@@ -1,9 +1,10 @@
 """Loaders and transforms for real-data experiments.
 
 Vertex attributes become dense n x n similarity graphs via 1 - distance
-(cosine or Euclidean); weighted graphs can be binarized; graphs with
-per-vertex id maps are intersected onto a common vertex set. A JSON manifest
-wires these steps together so a dataset is configuration, not code.
+(cosine or Euclidean), whose entries may be negative; weighted graphs can be
+binarized; graphs with per-vertex id maps are intersected onto a common
+vertex set. A JSON manifest wires these steps together so a dataset is
+configuration, not code.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def _pairwise_distance(X: np.ndarray, metric: str) -> np.ndarray:
 def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
     """Similarity matrix S = 1 - D from pairwise attribute distances.
 
-    Euclidean distances are not rescaled first, so similarities may go
-    negative; they are passed through with a warning.
+    Similarities may go negative for either metric: cosine distances lie in
+    [0, 2], so S reaches -1 for opposite vectors, and Euclidean distances are
+    not rescaled. Negative entries are passed through with a warning.
     """
     S = 1.0 - _pairwise_distance(X, metric)
     if S.min() < 0:

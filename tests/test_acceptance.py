@@ -63,8 +63,8 @@ def test_criterion_1_oracle_equivalence():
                          directed=bool(rng.random() < 0.25),
                          loops=bool(rng.random() < 0.25))
         y = random_labels(rng, n, K, unknown_frac=float(rng.uniform(0, 0.5)))
-        enc = build_encoder(y)
-        diff = np.abs(embed_graph(e, enc, y) - dense_embed_oracle(e, enc.W)).max()
+        W = build_encoder(y)
+        diff = np.abs(embed_graph(e, W) - dense_embed_oracle(e, W)).max()
         worst = max(worst, float(diff))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 10.0

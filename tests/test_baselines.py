@@ -4,11 +4,12 @@ import pytest
 import gfee.baselines as bl
 from gfee import (
     BlockSpec,
+    DenseGraph,
     EvalProtocol,
     GraphCollection,
-    SpectralConfig,
     best_d_error,
     cross_validate_embedding,
+    make_edgelist,
     mase_embed,
     omnibus_embed,
     omnibus_vertex_embedding,
@@ -29,12 +30,15 @@ def _ase(graph, d):
     return vecs * np.sqrt(np.abs(vals))
 
 
-def test_spectral_config_validation():
-    SpectralConfig("omnibus")
-    with pytest.raises(ValueError):
-        SpectralConfig("pca")
-    with pytest.raises(ValueError):
-        SpectralConfig("use", d_max=0)
+def test_to_csr_matches_dense_adjacency():
+    # undirected with a self-loop at 1 and the pair (0, 1) stored three times
+    loopy = make_edgelist([0, 1, 1, 2, 0, 1], [1, 1, 2, 0, 1, 0],
+                          [1.0, 2.0, 3.0, 4.0, 0.5, 0.25], n=4)
+    directed = make_edgelist([0, 2, 2], [1, 0, 2], [1.0, 2.0, 3.0], n=3, directed=True)
+    empty = make_edgelist([], [], n=3)
+    dense = DenseGraph(np.array([[0.0, 1.5], [-1.5, 2.0]]))
+    for g in (loopy, directed, empty, dense):
+        assert np.array_equal(bl._to_csr(g).toarray(), to_adjacency(g))
 
 
 def test_top_eigenpairs_orthonormal_and_reconstruction():

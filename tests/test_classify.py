@@ -3,6 +3,7 @@ import pytest
 
 from gfee import (
     EvalProtocol,
+    GraphCollection,
     as_labels,
     cross_validate,
     cross_validate_embedding,
@@ -11,7 +12,10 @@ from gfee import (
     named_spec,
     sample_collection,
     stratified_folds,
+    validate_collection,
 )
+
+from helpers import random_graph
 
 
 def test_knn_majority():
@@ -138,6 +142,20 @@ def test_cv_reembeds_per_fold():
     leaky = cross_validate_embedding(fuse(sub, y).Z, y, proto)
     assert leak_free.mean_error != leaky.mean_error
     assert leak_free.mean_error - leaky.mean_error > 0.003  # leak is optimistic
+
+
+def test_cv_singleton_class_trains_without_it():
+    # the one class-3 vertex is held out by one fold per replicate; that fold
+    # trains without class 3, whose encoder column is then zero
+    rng = np.random.default_rng(14)
+    coll = GraphCollection((random_graph(rng, 60), random_graph(rng, 60)))
+    y = as_labels([1] * 30 + [2] * 29 + [3])
+    assert validate_collection(coll, y).ok
+    with pytest.warns(UserWarning, match=r"^2 fold\(s\) trained without some class"):
+        report = cross_validate(coll, y, EvalProtocol(folds=5, replicates=2, seed=3))
+    assert report.confusion.sum() == 60 * 2  # every labeled vertex once per replicate
+    assert report.confusion[2].sum() == 2  # the singleton is scored as usual
+    assert np.isfinite(report.per_replicate).all()
 
 
 def test_cv_requires_labels():

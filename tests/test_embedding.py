@@ -3,7 +3,6 @@ import pytest
 
 from gfee import (
     DenseGraph,
-    EmptyClassError,
     GraphCollection,
     as_labels,
     build_encoder,
@@ -26,36 +25,36 @@ def test_class_counts_basic():
 
 
 def test_class_counts_empty_class():
-    with pytest.raises(EmptyClassError, match="empty class"):
-        class_counts(as_labels([0, 0], K=1))
-    with pytest.raises(EmptyClassError, match="2"):
-        class_counts(as_labels([1, 1], K=2))
+    # a class with no labeled vertex has count 0 and a zero encoder column
+    assert list(class_counts(as_labels([0, 0], K=1))) == [0]
+    assert list(class_counts(as_labels([1, 1], K=2))) == [2, 0]
+    assert np.array_equal(build_encoder(as_labels([1, 1], K=2)), [[0.5, 0], [0.5, 0]])
 
 
 def test_build_encoder_values():
-    enc = build_encoder(as_labels([1, 2, 1]))
-    assert np.allclose(enc.W, [[0.5, 0], [0, 1], [0.5, 0]])
-    enc = build_encoder(as_labels([1, 0], K=1))
-    assert np.allclose(enc.W, [[1.0], [0.0]])
-    enc = build_encoder(as_labels([2, 2, 1, 1]))
-    assert np.allclose(enc.W, [[0, .5], [0, .5], [.5, 0], [.5, 0]])
+    W = build_encoder(as_labels([1, 2, 1]))
+    assert np.allclose(W, [[0.5, 0], [0, 1], [0.5, 0]])
+    W = build_encoder(as_labels([1, 0], K=1))
+    assert np.allclose(W, [[1.0], [0.0]])
+    W = build_encoder(as_labels([2, 2, 1, 1]))
+    assert np.allclose(W, [[0, .5], [0, .5], [.5, 0], [.5, 0]])
 
 
 def test_encoder_columns_sum_to_one():
     rng = np.random.default_rng(0)
     y = random_labels(rng, 40, 4)
-    enc = build_encoder(y)
-    assert np.allclose(enc.W.sum(axis=0), np.ones(4))
+    W = build_encoder(y)
+    assert np.allclose(W.sum(axis=0), np.ones(4))
 
 
 def test_embed_graph_hand_example():
     # n=3, edges {(1,2,1),(1,3,1)}, y=(1,1,2): dense product A @ W by hand
     e = make_edgelist([0, 0], [1, 2], n=3)
     y = as_labels([1, 1, 2])
-    enc = build_encoder(y)
-    pre = embed_graph(e, enc, y, normalize=False)
+    W = build_encoder(y)
+    pre = embed_graph(e, W, normalize=False)
     assert np.allclose(pre, [[0.5, 1.0], [0.5, 0.0], [0.5, 0.0]])
-    post = embed_graph(e, enc, y)
+    post = embed_graph(e, W)
     assert np.allclose(post[0], [0.4472135955, 0.894427191], atol=1e-9)
     assert np.allclose(post[1:], [[1, 0], [1, 0]])
 
@@ -63,21 +62,21 @@ def test_embed_graph_hand_example():
 def test_embed_empty_graph_is_zero():
     e = make_edgelist(np.empty(0, int), np.empty(0, int), np.empty(0), n=4)
     y = as_labels([1, 2, 1, 2])
-    Z = embed_graph(e, build_encoder(y), y)
+    Z = embed_graph(e, build_encoder(y))
     assert np.array_equal(Z, np.zeros((4, 2)))
 
 
 def test_embed_zero_encoder_is_zero():
     # with an all-zero W (every label unknown) the product is identically zero
     e = make_edgelist([0, 1], [1, 2], n=3)
-    Z = embed_graph(e, np.zeros((3, 2)), as_labels([0, 0, 0], K=2))
+    Z = embed_graph(e, np.zeros((3, 2)))
     assert np.array_equal(Z, np.zeros((3, 2)))
 
 
 def test_zero_degree_row_stays_zero():
     e = make_edgelist([0], [1], n=3)  # vertex 2 isolated
     y = as_labels([1, 2, 1])
-    Z = embed_graph(e, build_encoder(y), y)
+    Z = embed_graph(e, build_encoder(y))
     assert np.array_equal(Z[2], [0.0, 0.0])
     assert np.isclose(np.linalg.norm(Z[0]), 1.0)
 
@@ -91,9 +90,9 @@ def test_oracle_equivalence_random_graphs():
         loops = bool(rng.random() < 0.3)
         e = random_graph(rng, n, directed=directed, loops=loops)
         y = random_labels(rng, n, K)
-        enc = build_encoder(y)
-        sparse = embed_graph(e, enc, y)
-        dense = dense_embed_oracle(e, enc.W)
+        W = build_encoder(y)
+        sparse = embed_graph(e, W)
+        dense = dense_embed_oracle(e, W)
         assert np.allclose(sparse, dense, atol=1e-12), (n, K, directed, loops)
 
 
@@ -106,8 +105,8 @@ def test_permutation_equivariance():
     e2 = make_edgelist(perm[e.u], perm[e.v], e.w, n=n)
     y2 = np.zeros(n, dtype=int)
     y2[perm] = y.y
-    Z = embed_graph(e, build_encoder(y), y)
-    Z2 = embed_graph(e2, build_encoder(as_labels(y2, 3)), as_labels(y2, 3))
+    Z = embed_graph(e, build_encoder(y))
+    Z2 = embed_graph(e2, build_encoder(as_labels(y2, 3)))
     assert np.allclose(Z2[perm], Z, atol=1e-12)
 
 
@@ -115,9 +114,9 @@ def test_scale_invariance_per_graph():
     rng = np.random.default_rng(5)
     e = random_graph(rng, 25)
     y = random_labels(rng, 25, 3)
-    enc = build_encoder(y)
-    Z = embed_graph(e, enc, y)
-    Zc = embed_graph(e.reweighted(e.w * 37.5), enc, y)
+    W = build_encoder(y)
+    Z = embed_graph(e, W)
+    Zc = embed_graph(e.reweighted(e.w * 37.5), W)
     assert np.allclose(Z, Zc, atol=1e-12)
 
 
@@ -125,17 +124,17 @@ def test_edge_order_does_not_matter():
     rng = np.random.default_rng(11)
     e = random_graph(rng, 40)
     y = random_labels(rng, 40, 4)
-    enc = build_encoder(y)
+    W = build_encoder(y)
     order = rng.permutation(e.num_edges)
     shuffled = make_edgelist(e.u[order], e.v[order], e.w[order], n=e.n)
-    assert np.allclose(embed_graph(e, enc, y), embed_graph(shuffled, enc, y), atol=1e-9)
+    assert np.allclose(embed_graph(e, W), embed_graph(shuffled, W), atol=1e-9)
 
 
 def test_unlabeling_changes_w_only_through_rows_and_counts():
     y = as_labels([1, 1, 2, 2, 2, 1])
-    W = build_encoder(y).W
+    W = build_encoder(y)
     y2 = as_labels([1, 1, 2, 0, 2, 1], K=2)  # vertex 3 unlabeled
-    W2 = build_encoder(y2).W
+    W2 = build_encoder(y2)
     assert np.array_equal(W2[3], [0, 0])
     # other rows unchanged except class-2 column rescaled by n_k / n_k'
     keep = [0, 1, 2, 4, 5]
@@ -152,8 +151,8 @@ def test_unlabeling_rescales_pre_normalization_columns():
     y2 = y.y.copy()
     dropped_class = y2[drop]
     y2[drop] = 0
-    pre = embed_graph(e, build_encoder(y), y, normalize=False)
-    pre2 = embed_graph(e, build_encoder(as_labels(y2, 2)), as_labels(y2, 2), normalize=False)
+    pre = embed_graph(e, build_encoder(y), normalize=False)
+    pre2 = embed_graph(e, build_encoder(as_labels(y2, 2)), normalize=False)
     counts = class_counts(y)
     counts2 = class_counts(as_labels(y2, 2))
     # vertices not adjacent to the dropped vertex only see the count rescale
@@ -169,7 +168,7 @@ def test_fuse_single_graph_matches_embed_graph():
     y = random_labels(rng, 20, 3)
     emb = fuse(GraphCollection((e,)), y)
     assert emb.M == 1 and emb.K == 3
-    assert np.array_equal(emb.Z, embed_graph(e, build_encoder(y), y))
+    assert np.array_equal(emb.Z, embed_graph(e, build_encoder(y)))
 
 
 def test_fuse_duplicate_graph_duplicates_blocks():
@@ -202,15 +201,15 @@ def test_dense_graph_path_matches_edgelist():
     rng = np.random.default_rng(12)
     e = random_graph(rng, 18, loops=True)
     y = random_labels(rng, 18, 2)
-    enc = build_encoder(y)
+    W = build_encoder(y)
     dense = DenseGraph(to_adjacency(e))
-    assert np.allclose(embed_graph(e, enc, y), embed_graph(dense, enc, y), atol=1e-12)
+    assert np.allclose(embed_graph(e, W), embed_graph(dense, W), atol=1e-12)
 
 
 def test_directed_embedding_uses_source_rows_only():
     e = make_edgelist([0], [1], n=2, directed=True)
     y = as_labels([2, 1])
-    Z = embed_graph(e, build_encoder(y), y, normalize=False)
+    Z = embed_graph(e, build_encoder(y), normalize=False)
     assert np.array_equal(Z, [[1.0, 0.0], [0.0, 0.0]])  # only u gets neighbor v
 
 
@@ -222,9 +221,9 @@ def test_degree_parameters_cancel_after_normalization():
     stats = {}
     for n in (600, 2400):
         coll, y, theta = sample_collection(named_spec("sim2"), n, 71)
-        enc = build_encoder(y)
-        post = np.hstack([embed_graph(g, enc, y) for g in coll.graphs])
-        pre = np.hstack([embed_graph(g, enc, y, normalize=False) for g in coll.graphs])
+        W = build_encoder(y)
+        post = np.hstack([embed_graph(g, W) for g in coll.graphs])
+        pre = np.hstack([embed_graph(g, W, normalize=False) for g in coll.graphs])
         m = y.y == 1
         corr = lambda Z: max(abs(np.corrcoef(theta[m], Z[m][:, k])[0, 1])
                              for k in range(Z.shape[1]))

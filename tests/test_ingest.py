@@ -33,11 +33,16 @@ def test_cosine_zero_rows_maximally_distant():
     assert S[0, 0] == 1.0
 
 
-def test_euclidean_negative_similarity_passes_with_warning():
+def test_negative_similarity_passes_with_warning():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.warns(UserWarning, match="negative"):
         S = attributes_to_similarity_matrix(X, "euclidean").matrix
     assert np.isclose(S[0, 1], 1.0 - np.sqrt(2.0))
+    assert np.allclose(np.diag(S), 1.0)
+    # cosine: opposite vectors are at distance 2
+    with pytest.warns(UserWarning, match="negative"):
+        S = attributes_to_similarity_matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]), "cosine").matrix
+    assert S[0, 1] == -1.0 and S[1, 0] == -1.0
     assert np.allclose(np.diag(S), 1.0)
 
 
@@ -62,10 +67,10 @@ def test_dense_fast_path_matches_edgelist_embedding():
     rng = np.random.default_rng(1)
     X = rng.normal(0, 1, (20, 5))
     y = as_labels(rng.permutation([1] * 10 + [2] * 10))
-    enc = build_encoder(y)
+    W = build_encoder(y)
     dense = attributes_to_similarity_matrix(X, "cosine")
     edges = from_adjacency(dense.matrix)
-    assert np.allclose(embed_graph(edges, enc, y), embed_graph(dense, enc, y), atol=1e-12)
+    assert np.allclose(embed_graph(edges, W), embed_graph(dense, W), atol=1e-12)
 
 
 def test_binarize():
@@ -208,7 +213,7 @@ def test_manifest_attributes_with_ids(tmp_path):
     g1 = make_edgelist([0, 1, 2, 3], [1, 2, 3, 4], n=5)
     edges = from_adjacency(attributes_to_similarity_matrix(X, "cosine").matrix)
     ref, _, _ = intersect_vertices([g1, edges], [list("abcde"), list("fedcba")])
-    enc = build_encoder(labels)
+    W = build_encoder(labels)
     for got, want in zip(collection.graphs, ref.graphs):
-        diff = embed_graph(got, enc, labels) - embed_graph(want, enc, labels)
+        diff = embed_graph(got, W) - embed_graph(want, W)
         assert np.abs(diff).max() <= 1e-12
