@@ -6,7 +6,6 @@ from .graph import (
     EdgeList,
     GraphCollection,
     LabelVector,
-    ValidationReport,
     as_labels,
     from_adjacency,
     make_edgelist,
@@ -18,7 +17,6 @@ from .graph import (
     write_edgelist,
 )
 from .embedding import (
-    FusionEmbedding,
     build_encoder,
     class_counts,
     embed_graph,
@@ -46,7 +44,6 @@ from .sbm import (
     sample_dcsbm,
     sample_labels,
     sample_sbm,
-    sample_theta,
 )
 from .baselines import (
     best_d_error,

@@ -59,12 +59,12 @@ def top_eigenpairs(A, d: int):
     n = A.shape[0]
     if d < 1 or d > n:
         raise ValueError(f"d must be in 1..{n}")
-    dense = isinstance(A, np.ndarray) or (sp.issparse(A) and n <= DENSE_LIMIT)
-    if dense or d >= n - 1:
-        M = A.toarray() if sp.issparse(A) else np.asarray(A)
-        if not isinstance(M, np.ndarray):  # LinearOperator fallback
-            M = A @ np.eye(n)
-        vals, vecs = np.linalg.eigh(M)
+    if isinstance(A, np.ndarray) or n <= DENSE_LIMIT or d >= n - 1:
+        if sp.issparse(A):
+            A = A.toarray()
+        elif not isinstance(A, np.ndarray):  # LinearOperator
+            A = A @ np.eye(n)
+        vals, vecs = np.linalg.eigh(A)
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs = spla.eigsh(A, k=d, which="LM", v0=v0)
@@ -114,16 +114,6 @@ def _omnibus_operator(As):
     return spla.LinearOperator((M * n, M * n), matvec=matvec, dtype=np.float64)
 
 
-def _omnibus_dense(As) -> np.ndarray:
-    M, n = len(As), As[0].shape[0]
-    dense = [A.toarray() for A in As]
-    O = np.empty((M * n, M * n))
-    for m in range(M):
-        for l in range(M):
-            O[m * n:(m + 1) * n, l * n:(l + 1) * n] = 0.5 * (dense[m] + dense[l])
-    return O
-
-
 def omnibus_embed(collection: GraphCollection, d: int) -> np.ndarray:
     """Spectral embedding of the joint Mn x Mn omnibus matrix.
 
@@ -131,11 +121,7 @@ def omnibus_embed(collection: GraphCollection, d: int) -> np.ndarray:
     average the M rows of a vertex for its classification representation.
     """
     As = [_to_csr(g) for g in collection.graphs]
-    M, n = len(As), collection.n
-    if M * n <= DENSE_LIMIT:
-        vals, vecs = top_eigenpairs(_omnibus_dense(As), d)
-    else:
-        vals, vecs = top_eigenpairs(_omnibus_operator(As), d)
+    vals, vecs = top_eigenpairs(_omnibus_operator(As), d)
     return _scale(vecs, vals)
 
 

@@ -100,6 +100,8 @@ def knn_predict(train_points, train_labels, query, k: int = 5):
     train_y = np.asarray(train_labels, dtype=np.int64)
     if len(train_X) == 0:
         raise ValueError("empty training set")
+    if train_y.shape != (len(train_X),):
+        raise ValueError(f"{len(train_X)} training points but labels of shape {train_y.shape}")
     if k > len(train_X):
         raise ValueError(f"k={k} exceeds {len(train_X)} training points")
     if train_y.min() < 1:
@@ -182,7 +184,7 @@ def cross_validate(collection: GraphCollection, labels: LabelVector,
     def embed_for_fold(train, test):
         masked = y.copy()
         masked[test] = 0
-        return fuse(collection, LabelVector(masked, labels.K), jobs=jobs).Z
+        return fuse(collection, LabelVector(masked, labels.K), jobs=jobs)
 
     return _run_cv(embed_for_fold, labels, protocol)
 

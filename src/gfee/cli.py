@@ -27,12 +27,14 @@ def _parse_ints(text: str):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def _ensure_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = int.from_bytes(os.urandom(4), "big")
-    print(f"seed: {seed}", file=sys.stderr)
-    return seed
+def _protocol(args) -> EvalProtocol:
+    """CV protocol from the flags; without --seed a seed is drawn and printed."""
+    seed = args.seed
+    if seed is None:
+        seed = int.from_bytes(os.urandom(4), "big")
+        print(f"seed: {seed}", file=sys.stderr)
+    return EvalProtocol(folds=args.folds, replicates=args.replicates,
+                        neighbor_count=args.knn, seed=seed)
 
 
 def _load_inputs(args):
@@ -47,20 +49,20 @@ def _load_inputs(args):
             for p in args.graphs
         ]
         collection = GraphCollection(tuple(graphs))
-    report = validate_collection(collection, labels)
-    if not report.ok:
-        raise _ValidationFailure(str(report))
+    violations = validate_collection(collection, labels)
+    if violations:
+        raise _ValidationFailure("\n".join(violations))
     return collection, labels
 
 
 def _cmd_embed(args) -> int:
     collection, labels = _load_inputs(args)
-    emb = fuse(collection, labels, jobs=args.jobs)
+    Z = fuse(collection, labels, jobs=args.jobs)
     if args.format == "csv":
-        export_csv(emb, args.out)
+        export_csv(Z, args.out)
     else:
-        export_binary(emb, args.out)
-    print(f"n={emb.n} M={emb.M} K={emb.K} dims={emb.Z.shape[1]}")
+        export_binary(Z, args.out)
+    print(f"n={Z.shape[0]} M={collection.M} K={labels.K} dims={Z.shape[1]}")
     return 0
 
 
@@ -71,9 +73,7 @@ def _cmd_evaluate(args) -> int:
         if any(i < 0 or i >= collection.M for i in indices):
             raise _ValidationFailure(f"--subset indices must be in 1..{collection.M}")
         collection = collection.subset(indices)
-    protocol = EvalProtocol(folds=args.folds, replicates=args.replicates,
-                            neighbor_count=args.knn, seed=_ensure_seed(args))
-    report = cross_validate(collection, labels, protocol, jobs=args.jobs)
+    report = cross_validate(collection, labels, _protocol(args), jobs=args.jobs)
     print(report.to_json())
     return 0
 
@@ -94,18 +94,9 @@ def _emit(rows, args) -> None:
         write_gnuplot(rows, args.gnuplot_dir)
 
 
-def _cmd_simulate(args) -> int:
-    protocol = EvalProtocol(folds=args.folds, replicates=args.replicates,
-                            neighbor_count=args.knn, seed=_ensure_seed(args))
-    rows = run_simulation(_resolve_cli_spec(args), args.n_grid, protocol, jobs=args.jobs)
-    _emit(rows, args)
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    protocol = EvalProtocol(folds=args.folds, replicates=args.replicates,
-                            neighbor_count=args.knn, seed=_ensure_seed(args))
-    rows = verify_theorems(_resolve_cli_spec(args), args.n_grid, protocol, jobs=args.jobs)
+def _cmd_table(args) -> int:
+    """simulate and verify: emit the rows of the runner the subcommand set."""
+    rows = args.runner(_resolve_cli_spec(args), args.n_grid, _protocol(args), jobs=args.jobs)
     _emit(rows, args)
     return 0
 
@@ -114,9 +105,7 @@ def _cmd_baseline(args) -> int:
     if args.method == "gfee" and args.dmax is not None:
         print("warning: --dmax ignored for gfee (no dimension parameter)",
               file=sys.stderr)
-    protocol = EvalProtocol(folds=args.folds, replicates=args.replicates,
-                            neighbor_count=args.knn, seed=_ensure_seed(args))
-    rows = run_baseline(_resolve_cli_spec(args), args.method, args.n_grid, protocol,
+    rows = run_baseline(_resolve_cli_spec(args), args.method, args.n_grid, _protocol(args),
                         d_max=args.dmax or 30, jobs=args.jobs)
     _emit(rows, args)
     return 0
@@ -169,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="error tables over a vertex-count grid")
     _add_sim_flags(p)
     _add_protocol_flags(p, folds=10)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_table, runner=run_simulation)
 
     p = sub.add_parser("verify", help="convergence/identifiability/monotonicity checks")
     _add_sim_flags(p)
     _add_protocol_flags(p, folds=10)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_table, runner=verify_theorems)
 
     p = sub.add_parser("baseline", help="spectral baseline comparison tables")
     _add_sim_flags(p)

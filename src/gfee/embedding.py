@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,57 +54,34 @@ def embed_graph(graph, W: np.ndarray, normalize: bool = True) -> np.ndarray:
     return Z
 
 
-@dataclass(frozen=True)
-class FusionEmbedding:
-    """Row-concatenated per-graph embeddings: n x (M*K)."""
-
-    Z: np.ndarray
-    M: int
-    K: int
-
-    @property
-    def n(self) -> int:
-        return self.Z.shape[0]
-
-    def block(self, m: int) -> np.ndarray:
-        """Columns of graph m (0-based)."""
-        return self.Z[:, m * self.K:(m + 1) * self.K]
-
-
 def fuse(collection: GraphCollection, labels: LabelVector,
-         jobs: int | None = None) -> FusionEmbedding:
-    """Fusion embedding of all graphs in the collection.
+         jobs: int | None = None) -> np.ndarray:
+    """Fusion embedding n x (M*K) of all graphs; graph m in columns m*K..(m+1)*K.
 
     W is built once from the labels and shared; per-graph embeddings are
-    independent and run on a thread pool when jobs > 1. The output covers
-    every vertex, labeled or not.
+    independent and run on a pool of ``jobs`` threads (one if None). The
+    output covers every vertex, labeled or not.
     """
-    labels = as_labels(labels)
-    W = build_encoder(labels)
-    graphs = collection.graphs
-    if jobs and jobs > 1 and len(graphs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(lambda g: embed_graph(g, W), graphs))
-    else:
-        blocks = [embed_graph(g, W) for g in graphs]
-    return FusionEmbedding(np.hstack(blocks), M=len(graphs), K=labels.K)
+    W = build_encoder(as_labels(labels))
+    with ThreadPoolExecutor(max_workers=max(1, jobs or 1)) as pool:
+        return np.hstack(list(pool.map(lambda g: embed_graph(g, W), collection.graphs)))
 
 
-def export_csv(emb: FusionEmbedding, path) -> None:
+def export_csv(Z: np.ndarray, path) -> None:
     """CSV export: header "vertex,dim_1..dim_MK", one row per vertex (1-based)."""
-    dims = emb.Z.shape[1]
+    dims = Z.shape[1]
     with open(path, "w") as fh:
         fh.write("vertex," + ",".join(f"dim_{j + 1}" for j in range(dims)) + "\n")
-        for i, row in enumerate(emb.Z, 1):
+        for i, row in enumerate(Z, 1):
             fh.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")
 
 
-def export_binary(emb: FusionEmbedding, path) -> None:
+def export_binary(Z: np.ndarray, path) -> None:
     """Binary dump: 8-byte header (n, M*K as little-endian uint32), then
     float64 data in column-major order."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", emb.n, emb.Z.shape[1]))
-        fh.write(np.asfortranarray(emb.Z, dtype="<f8").tobytes(order="F"))
+        fh.write(struct.pack("<II", *Z.shape))
+        fh.write(np.asfortranarray(Z, dtype="<f8").tobytes(order="F"))
 
 
 def load_binary(path) -> np.ndarray:

@@ -73,7 +73,7 @@ def class_mean_deviation(spec, n: int, seed) -> float:
     the corresponding normalized block row, for one fully labeled draw."""
     spec = _resolve_spec(spec)
     collection, labels, _ = sample_collection(spec, n, seed)
-    Z = fuse(collection, labels).Z
+    Z = fuse(collection, labels)
     Bt = normalized_blocks(spec)
     devs = [
         np.linalg.norm(Z[labels.y == k + 1].mean(axis=0) - Bt[k])

@@ -7,7 +7,7 @@ Vertices are 0-based inside the library; edgelist *files* are 1-based
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,9 +53,6 @@ class EdgeList:
     def num_edges(self) -> int:
         return len(self.u)
 
-    def reweighted(self, w: np.ndarray) -> "EdgeList":
-        return EdgeList(self.u, self.v, w, self.n, self.directed)
-
 
 def make_edgelist(u, v, w=None, *, n: int, directed: bool = False,
                   simple: bool = False) -> EdgeList:
@@ -83,10 +80,10 @@ def make_edgelist(u, v, w=None, *, n: int, directed: bool = False,
 
 @dataclass(frozen=True)
 class DenseGraph:
-    """Dense weighted graph (similarity matrix); avoids edge expansion."""
+    """Dense weighted graph (similarity matrix); avoids edge expansion. The
+    matrix is the adjacency matrix as it is, symmetric or not."""
 
     matrix: np.ndarray
-    directed: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -133,9 +130,14 @@ class LabelVector:
 
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=np.int64))
+        K = int(self.K)
+        if K < 0:
+            raise ValueError(f"K must be >= 0, got {K}")
+        if len(y) and (y.min() < 0 or y.max() > K):
+            raise ValueError(f"label outside 0..{K}")
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "K", K)
 
     @property
     def n(self) -> int:
@@ -156,48 +158,27 @@ def as_labels(y, K: int | None = None) -> LabelVector:
     return LabelVector(y, K)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate_collection; empty iff the input is usable."""
-
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(self.violations)
-
-
-def validate_collection(collection: GraphCollection, labels: LabelVector) -> ValidationReport:
-    """Check a collection/label pair; reports violations, never raises."""
-    report = ValidationReport()
+def validate_collection(collection: GraphCollection, labels: LabelVector) -> list[str]:
+    """Violations in a collection/label pair (empty when usable); never raises."""
     if collection.M < 1:
-        report.violations.append("collection has no graphs")
-        return report
+        return ["collection has no graphs"]
+    violations = []
     n = collection.graphs[0].n
     for m, g in enumerate(collection.graphs):
         if g.n != n:
-            report.violations.append(
+            violations.append(
                 f"vertex-count mismatch: graph {m + 1} has n={g.n}, graph 1 has n={n}"
             )
     y = labels.y
     if len(y) != n:
-        report.violations.append(
-            f"label length {len(y)} does not match vertex count {n}"
-        )
-    if len(y) and (y.min() < 0 or y.max() > labels.K):
-        report.violations.append(f"label outside 0..{labels.K}")
-    counts = np.bincount(y[(y >= 1) & (y <= labels.K)], minlength=labels.K + 1)[1:]
+        violations.append(f"label length {len(y)} does not match vertex count {n}")
+    counts = np.bincount(y[y > 0], minlength=labels.K + 1)[1:]
     if labels.K >= 1 and counts.sum() == 0:
-        report.violations.append("no training labels")
+        violations.append("no training labels")
     else:
         for k in np.flatnonzero(counts == 0):
-            report.violations.append(f"empty class {k + 1}")
-    return report
+            violations.append(f"empty class {k + 1}")
+    return violations
 
 
 def adjacency_terms(g) -> list:
@@ -252,17 +233,21 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     seen.
     """
     us, vs, ws = [], [], []
+    lineno = 0
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"{path}:{lineno}: expected 'u v [w]', got {line!r}")
-            us.append(int(parts[0]))
-            vs.append(int(parts[1]))
-            ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.replace(",", " ").split()
+                if len(parts) not in (2, 3):
+                    raise ValueError(f"expected 'u v [w]', got {line!r}")
+                us.append(int(parts[0]))
+                vs.append(int(parts[1]))
+                ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     u = np.asarray(us, dtype=np.int64) - 1
     v = np.asarray(vs, dtype=np.int64) - 1
     w = np.asarray(ws)
@@ -286,12 +271,19 @@ def write_edgelist(e: EdgeList, path) -> None:
 def read_labels(path, K: int | None = None) -> LabelVector:
     """Load a label file: one integer per line, line i = label of vertex i."""
     vals = []
+    lineno = 0
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                vals.append(int(line))
-    return as_labels(np.asarray(vals, dtype=np.int64), K)
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    vals.append(int(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return as_labels(np.asarray(vals, dtype=np.int64), K)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_vertex_ids(path) -> np.ndarray:

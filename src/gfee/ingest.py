@@ -107,7 +107,7 @@ def intersect_vertices(graphs, id_lists):
         if isinstance(g, DenseGraph):
             at = np.empty(len(order), dtype=np.int64)
             at[remap[kept]] = np.flatnonzero(kept)
-            out.append(DenseGraph(g.matrix[np.ix_(at, at)], directed=g.directed))
+            out.append(DenseGraph(g.matrix[np.ix_(at, at)]))
         else:
             keep = kept[g.u] & kept[g.v]
             out.append(EdgeList(remap[g.u[keep]], remap[g.v[keep]], g.w[keep],

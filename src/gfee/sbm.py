@@ -36,10 +36,6 @@ class DegreeLaw:
         if not (0 < self.a <= self.b):
             raise ValueError("degree law requires 0 < a <= b")
 
-    @property
-    def upper(self) -> float:
-        return self.b
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=n)
 
@@ -94,7 +90,7 @@ class BlockSpec:
             if B.min() < 0 or B.max() > 1:
                 raise ValueError(f"block {m + 1} has entries outside [0, 1]")
             if self.degree_law is not None:
-                peak = self.degree_law.upper ** 2 * B.max()
+                peak = self.degree_law.b ** 2 * B.max()
                 if peak > 1:
                     raise ValueError(
                         f"degree law can push block {m + 1} probability to {peak:.3g} > 1"
@@ -150,11 +146,6 @@ def sample_labels(n: int, priors, rng=None) -> LabelVector:
     priors = np.asarray(priors, dtype=np.float64)
     y = rng.choice(len(priors), size=n, p=priors) + 1
     return LabelVector(y, K=len(priors))
-
-
-def sample_theta(law: DegreeLaw, n: int, rng=None) -> np.ndarray:
-    rng = np.random.default_rng(rng)
-    return law.sample(n, rng)
 
 
 def _bernoulli_indices(N: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -244,7 +235,7 @@ def sample_dcsbm(labels: LabelVector, B, theta, rng=None) -> EdgeList:
     """Degree-corrected SBM graph: edge probability theta_i theta_j B[y_i, y_j].
 
     ``theta`` is the shared per-vertex parameter vector for this replicate
-    (draw it once with sample_theta and reuse for every graph).
+    (draw it once with ``DegreeLaw.sample`` and reuse for every graph).
     """
     theta = np.asarray(theta, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -266,7 +257,7 @@ def sample_collection(spec: BlockSpec, n: int, seed):
     labels = sample_labels(n, spec.priors, np.random.default_rng(streams[0]))
     theta = None
     if spec.degree_law is not None:
-        theta = sample_theta(spec.degree_law, n, np.random.default_rng(streams[1]))
+        theta = spec.degree_law.sample(n, np.random.default_rng(streams[1]))
     graphs = []
     for m, B in enumerate(spec.blocks):
         rng = np.random.default_rng(streams[m + 2])

@@ -20,6 +20,17 @@ def dense_embed_oracle(e, W):
     return row_normalize(to_adjacency(e) @ np.asarray(W))
 
 
+def omnibus_dense(As):
+    """Dense reference omnibus matrix: block (m, l) is (A_m + A_l) / 2."""
+    M, n = len(As), As[0].shape[0]
+    dense = [A.toarray() for A in As]
+    O = np.empty((M * n, M * n))
+    for m in range(M):
+        for l in range(M):
+            O[m * n:(m + 1) * n, l * n:(l + 1) * n] = 0.5 * (dense[m] + dense[l])
+    return O
+
+
 def random_graph(rng, n, density=0.15, weighted=True, directed=False, loops=False):
     """Random EdgeList, stored-once for undirected graphs."""
     if directed:

@@ -178,27 +178,28 @@ def test_criterion_7_linear_time_embedding():
     )
     y = LabelVector(rng.integers(1, K + 1, n), K)
     start = time.perf_counter()
-    emb = fuse(GraphCollection(graphs), y)
+    Z = fuse(GraphCollection(graphs), y)
     big = time.perf_counter() - start
-    assert emb.Z.shape == (n, M * K)
-    del graphs, emb
+    assert Z.shape == (n, M * K)
+    del graphs, Z
 
     n2, s2 = 500_000, 5_000_000
     y2 = LabelVector(rng.integers(1, K + 1, n2), K)
 
-    def timed(edges):
-        coll = GraphCollection((edges,))
-        best = np.inf
-        for _ in range(3):
+    colls = [
+        GraphCollection((EdgeList(rng.integers(0, n2, s, dtype=np.int32),
+                                  rng.integers(0, n2, s, dtype=np.int32), np.ones(s), n=n2),))
+        for s in (s2, 2 * s2)
+    ]
+    # best of 3 per size, the sizes timed in turn (s, 2s, s, 2s, ...) so that
+    # a slow phase of the host falls on both
+    best = [np.inf, np.inf]
+    for _ in range(3):
+        for i, coll in enumerate(colls):
             t0 = time.perf_counter()
             fuse(coll, y2)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t1 = timed(EdgeList(rng.integers(0, n2, s2, dtype=np.int32),
-                        rng.integers(0, n2, s2, dtype=np.int32), np.ones(s2), n=n2))
-    t2 = timed(EdgeList(rng.integers(0, n2, 2 * s2, dtype=np.int32),
-                        rng.integers(0, n2, 2 * s2, dtype=np.int32), np.ones(2 * s2), n=n2))
+            best[i] = min(best[i], time.perf_counter() - t0)
+    t1, t2 = best
     ratio = t2 / t1
     ok = big < 60.0 and ratio <= 2.5
     assert _verdict(7, "linear-time embedding", ok,

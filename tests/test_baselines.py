@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import gfee.baselines as bl
 from gfee import (
@@ -20,7 +21,7 @@ from gfee import (
     use_embed,
 )
 
-from helpers import random_graph
+from helpers import omnibus_dense, random_graph
 
 TWO_BLOCK = BlockSpec(priors=[0.5, 0.5], blocks=[[[0.3, 0.05], [0.05, 0.3]]])
 
@@ -68,6 +69,18 @@ def test_truncated_svd_orthonormal_and_reconstruction():
         prev = resid
 
 
+def test_top_eigenpairs_operator_densified():
+    # d >= n - 1 on a LinearOperator takes the dense path through A @ I
+    rng = np.random.default_rng(9)
+    A = rng.normal(0, 1, (5, 5))
+    A = A + A.T
+    op = spla.LinearOperator((5, 5), matvec=lambda x: A @ x, dtype=np.float64)
+    vals, vecs = top_eigenpairs(op, 4)
+    ref_vals, ref_vecs = top_eigenpairs(A, 4)
+    assert np.allclose(vals, ref_vals, atol=1e-12)
+    assert np.allclose(vecs, ref_vecs, atol=1e-12)
+
+
 def test_sign_convention():
     rng = np.random.default_rng(3)
     A = rng.normal(0, 1, (20, 20))
@@ -105,6 +118,12 @@ def test_omnibus_two_block_sbm_error():
     pts = omnibus_vertex_embedding(omnibus_embed(coll, 2), 1)
     report = cross_validate_embedding(pts, y, EvalProtocol(folds=5, replicates=2, seed=3))
     assert report.mean_error < 0.10
+
+
+def test_omnibus_operator_equals_dense_oracle():
+    rng = np.random.default_rng(10)
+    As = [bl._to_csr(random_graph(rng, 30, density=0.2, loops=True)) for _ in range(3)]
+    assert np.array_equal(bl._omnibus_operator(As) @ np.eye(90), omnibus_dense(As))
 
 
 def test_omnibus_operator_matches_dense(monkeypatch):

@@ -68,6 +68,10 @@ def test_knn_errors():
         knn_predict(np.empty((0, 2)), [], (0, 0), k=1)
     with pytest.raises(ValueError, match="exceeds"):
         knn_predict([(0, 0)], [1], (0, 0), k=2)
+    with pytest.raises(ValueError, match="3 training points but labels"):
+        knn_predict([(0, 0), (1, 1), (2, 2)], [1, 2], (0, 0), k=1)
+    with pytest.raises(ValueError, match="2 training points but labels"):
+        knn_predict([(0, 0), (1, 1)], [1, 2, 1, 2], (0, 0), k=1)
 
 
 def test_protocol_validation():
@@ -139,7 +143,7 @@ def test_cv_reembeds_per_fold():
     proto = EvalProtocol(folds=5, replicates=3, seed=9)
     sub = coll.subset([0])
     leak_free = cross_validate(sub, y, proto)
-    leaky = cross_validate_embedding(fuse(sub, y).Z, y, proto)
+    leaky = cross_validate_embedding(fuse(sub, y), y, proto)
     assert leak_free.mean_error != leaky.mean_error
     assert leak_free.mean_error - leaky.mean_error > 0.003  # leak is optimistic
 
@@ -150,7 +154,7 @@ def test_cv_singleton_class_trains_without_it():
     rng = np.random.default_rng(14)
     coll = GraphCollection((random_graph(rng, 60), random_graph(rng, 60)))
     y = as_labels([1] * 30 + [2] * 29 + [3])
-    assert validate_collection(coll, y).ok
+    assert validate_collection(coll, y) == []
     with pytest.warns(UserWarning, match=r"^2 fold\(s\) trained without some class"):
         report = cross_validate(coll, y, EvalProtocol(folds=5, replicates=2, seed=3))
     assert report.confusion.sum() == 60 * 2  # every labeled vertex once per replicate

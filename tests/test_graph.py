@@ -5,6 +5,7 @@ from gfee import (
     DenseGraph,
     EdgeList,
     GraphCollection,
+    LabelVector,
     as_labels,
     from_adjacency,
     make_edgelist,
@@ -19,35 +20,33 @@ from gfee import (
 def test_validate_well_formed():
     g1 = make_edgelist([0, 1], [1, 2], n=5)
     g2 = make_edgelist([3], [4], n=5)
-    report = validate_collection(GraphCollection((g1, g2)), as_labels([1, 2, 1, 2, 0]))
-    assert report.ok
-    assert str(report) == "ok"
+    assert validate_collection(GraphCollection((g1, g2)), as_labels([1, 2, 1, 2, 0])) == []
 
 
 def test_validate_vertex_count_mismatch():
     g1 = make_edgelist([0], [1], n=5)
     g2 = make_edgelist([0], [1], n=6)
-    report = validate_collection(GraphCollection((g1, g2)), as_labels([1, 2, 1, 2, 1]))
-    assert not report.ok
-    assert any("vertex-count mismatch" in v for v in report.violations)
+    violations = validate_collection(GraphCollection((g1, g2)), as_labels([1, 2, 1, 2, 1]))
+    assert violations
+    assert any("vertex-count mismatch" in v for v in violations)
 
 
 def test_validate_no_training_labels():
     g = make_edgelist([0], [1], n=2)
-    report = validate_collection(GraphCollection((g,)), as_labels([0, 0], K=1))
-    assert any("no training labels" in v for v in report.violations)
+    violations = validate_collection(GraphCollection((g,)), as_labels([0, 0], K=1))
+    assert any("no training labels" in v for v in violations)
 
 
 def test_validate_empty_class():
     g = make_edgelist([0, 2], [1, 3], n=4)
-    report = validate_collection(GraphCollection((g,)), as_labels([1, 1, 1, 0], K=2))
-    assert report.violations == ["empty class 2"]
+    violations = validate_collection(GraphCollection((g,)), as_labels([1, 1, 1, 0], K=2))
+    assert violations == ["empty class 2"]
 
 
 def test_validate_is_pure():
     g = make_edgelist([0], [1], n=3)
     coll, y = GraphCollection((g,)), as_labels([1, 0, 1])
-    assert validate_collection(coll, y).violations == validate_collection(coll, y).violations
+    assert validate_collection(coll, y) == validate_collection(coll, y)
 
 
 @pytest.mark.parametrize("u, v, w, match", [
@@ -58,6 +57,16 @@ def test_validate_is_pure():
 def test_edgelist_rejects_bad_edges(u, v, w, match):
     with pytest.raises(ValueError, match=match):
         EdgeList(np.array(u), np.array(v), np.array(w), n=4, directed=True)
+
+
+@pytest.mark.parametrize("y, K, match", [
+    ([1, 5, 1, 2], 2, r"label outside 0\.\.2"),
+    ([1, -1, 2], 2, r"label outside 0\.\.2"),  # -1 would be an unknown label
+    ([0, 0], -1, "K must be >= 0"),
+], ids=["label-above-K", "negative-label", "negative-K"])
+def test_label_vector_rejects_bad_labels(y, K, match):
+    with pytest.raises(ValueError, match=match):
+        LabelVector(y, K)
 
 
 def test_dense_graph_rejects_non_finite():
@@ -133,6 +142,18 @@ def test_read_edgelist_rejects_zero_index(tmp_path):
         read_edgelist(p)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("1 2\n2 x\n", r"g\.txt:2: invalid literal for int\(\)"),
+    ("# w\n1 2 0.5\n\n2 3 heavy\n", r"g\.txt:4: could not convert string to float"),
+    ("1 2\n1 2 3 4\n", r"g\.txt:2: expected 'u v \[w\]'"),
+], ids=["bad-index", "bad-weight", "field-count"])
+def test_read_edgelist_errors_name_file_and_line(tmp_path, text, match):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_edgelist(p)
+
+
 def test_edgelist_file_round_trip(tmp_path):
     e = make_edgelist([0, 2], [1, 3], [1.25, 0.5], n=4)
     write_edgelist(e, tmp_path / "g.txt")
@@ -147,6 +168,17 @@ def test_read_labels(tmp_path):
     y = read_labels(p)
     assert y.K == 2
     assert list(y.y) == [1, 0, 2, 2]
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1\n1.5\n", r"y\.txt:2: invalid literal for int\(\)"),
+    ("1\n-1\n2\n", r"y\.txt: label outside 0\.\.2"),
+], ids=["non-integer", "negative"])
+def test_read_labels_errors_name_file(tmp_path, text, match):
+    p = tmp_path / "y.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_labels(p)
 
 
 def test_collection_subset():
