@@ -3,7 +3,10 @@
 The evaluation protocol is Monte-Carlo replicated k-fold CV: per replicate
 the labeled vertices are shuffled into stratified folds, and for each fold
 the embedding is recomputed with that fold's labels zeroed, so held-out
-labels never reach the encoder matrix. Neighbor search is exact brute force.
+labels never reach the encoder matrix. Neighbor search is exact brute force
+over all training rows with partial selection: each query keeps its k
+nearest training points, distance ties at the k-th place going to the lower
+training index, exactly as a stable full sort would.
 """
 
 from __future__ import annotations
@@ -64,9 +67,14 @@ class ErrorReport:
 
 
 def _knn_batch(train_X, train_y, query_X, k, K):
-    """Predict labels (1..K) for each query row. Vote ties go to the class
-    with the larger summed inverse distance, then to the smaller class index;
-    distance ties at the k-th neighbor keep training-index order."""
+    """Predict labels (1..K) for each query row by exact brute force.
+
+    Each row's k nearest training points come from a partial selection
+    (``argpartition``) and are ordered by (distance, training index); only
+    rows with a distance tie across the k-th place fall back to a stable
+    full sort. Distance ties at the k-th neighbor therefore keep
+    training-index order. Vote ties go to the class with the larger summed
+    inverse distance, then to the smaller class index."""
     preds = np.empty(len(query_X), dtype=np.int64)
     train_sq = (train_X ** 2).sum(axis=1)
     chunk = max(1, _CHUNK_ENTRIES // max(1, len(train_X)))
@@ -74,16 +82,19 @@ def _knn_batch(train_X, train_y, query_X, k, K):
         q = query_X[lo:lo + chunk]
         d2 = (q ** 2).sum(axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ train_X.T)
         np.maximum(d2, 0.0, out=d2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        cand = np.take_along_axis(d2, part, axis=1)
+        order = np.take_along_axis(part, np.lexsort((part, cand), axis=1), axis=1)
+        tied = np.count_nonzero(d2 <= cand.max(axis=1, keepdims=True), axis=1) != k
+        if tied.any():
+            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         nbr_labels = train_y[order] - 1
         nbr_dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
-        rows = np.repeat(np.arange(len(q)), k)
-        votes = np.zeros((len(q), K))
-        np.add.at(votes, (rows, nbr_labels.ravel()), 1.0)
+        cells = (np.arange(len(q))[:, None] * K + nbr_labels).ravel()
+        votes = np.bincount(cells, minlength=len(q) * K).reshape(len(q), K)
         with np.errstate(divide="ignore"):
             inv = 1.0 / nbr_dist
-        inv_sum = np.zeros((len(q), K))
-        np.add.at(inv_sum, (rows, nbr_labels.ravel()), inv.ravel())
+        inv_sum = np.bincount(cells, weights=inv.ravel(), minlength=len(q) * K).reshape(len(q), K)
         top = votes == votes.max(axis=1, keepdims=True)
         score = np.where(top, inv_sum, -1.0)
         preds[lo:lo + chunk] = score.argmax(axis=1) + 1
@@ -102,6 +113,8 @@ def knn_predict(train_points, train_labels, query, k: int = 5):
         raise ValueError("empty training set")
     if train_y.shape != (len(train_X),):
         raise ValueError(f"{len(train_X)} training points but labels of shape {train_y.shape}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > len(train_X):
         raise ValueError(f"k={k} exceeds {len(train_X)} training points")
     if train_y.min() < 1:
@@ -109,7 +122,11 @@ def knn_predict(train_points, train_labels, query, k: int = 5):
     K = int(train_y.max())
     q = np.asarray(query, dtype=np.float64)
     single = q.ndim == 1
-    preds = _knn_batch(train_X, train_y, np.atleast_2d(q), k, K)
+    query_X = np.atleast_2d(q)
+    if query_X.shape[1] != train_X.shape[1]:
+        raise ValueError(f"query has {query_X.shape[1]} coordinates, "
+                         f"training points have {train_X.shape[1]}")
+    preds = _knn_batch(train_X, train_y, query_X, k, K)
     return int(preds[0]) if single else preds
 
 
@@ -147,11 +164,15 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> Erro
             train = (assign >= 0) & ~test
             if not test.any():
                 continue
+            n_train = int(train.sum())
+            if n_train < k:
+                raise ValueError(f"k={k} exceeds {n_train} training points "
+                                 f"in fold {f + 1} of replicate {r + 1}")
             short_folds += int((np.bincount(y[train], minlength=K + 1)[1:] == 0).any())
             points = embed_for_fold(train, test)
             preds = _knn_batch(points[train], y[train], points[test], k, K)
             truth = y[test]
-            np.add.at(confusion, (truth - 1, preds - 1), 1)
+            confusion += np.bincount((truth - 1) * K + preds - 1, minlength=K * K).reshape(K, K)
             miss = int((preds != truth).sum())
             per_fold[r, f] = miss / test.sum()
             wrong += miss

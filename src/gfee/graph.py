@@ -14,12 +14,20 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def _whole(a, what: str) -> np.ndarray:
+    """Integer array from index or label input; floats must be whole numbers."""
+    a = np.atleast_1d(np.asarray(a))
+    if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
+        raise ValueError(f"{what} must be whole numbers")
+    return a if a.dtype.kind == "i" else a.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class EdgeList:
     """Sparse graph as parallel arrays (u, v, w) over n vertices.
 
     Undirected edges are stored once; consumers apply them in both
-    directions unless ``directed`` is set. Indices are 0-based and must lie
+    directions unless ``directed`` is set. Indices are 0-based whole numbers
     in [0, n); weights must be finite.
     """
 
@@ -30,15 +38,11 @@ class EdgeList:
     directed: bool = False
 
     def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u))
-        v = np.atleast_1d(np.asarray(self.v))
+        u = _whole(self.u, "vertex indices")
+        v = _whole(self.v, "vertex indices")
         w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
         if not (len(u) == len(v) == len(w)):
             raise ValueError("u, v, w must have equal length")
-        if u.dtype.kind != "i":
-            u = u.astype(np.int64)
-        if v.dtype.kind != "i":
-            v = v.astype(np.int64)
         n = int(self.n)
         if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
             raise ValueError(f"vertex index out of range for n={n}")
@@ -61,8 +65,8 @@ def make_edgelist(u, v, w=None, *, n: int, directed: bool = False,
     ``simple`` declares the graph loop-free: self-loops in the input are
     dropped with a warning. Weight defaults to 1 per edge.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=np.int64))
-    v = np.atleast_1d(np.asarray(v, dtype=np.int64))
+    u = _whole(u, "vertex indices")
+    v = _whole(v, "vertex indices")
     if w is None:
         w = np.ones(len(u))
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
@@ -123,13 +127,13 @@ class GraphCollection:
 
 @dataclass(frozen=True)
 class LabelVector:
-    """Per-vertex class labels in {0..K}; 0 marks an unknown label."""
+    """Per-vertex class labels, whole numbers in {0..K}; 0 marks an unknown label."""
 
     y: np.ndarray
     K: int
 
     def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=np.int64))
+        y = _whole(self.y, "labels").astype(np.int64, copy=False)
         K = int(self.K)
         if K < 0:
             raise ValueError(f"K must be >= 0, got {K}")
@@ -152,7 +156,7 @@ def as_labels(y, K: int | None = None) -> LabelVector:
     """
     if isinstance(y, LabelVector):
         return y
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    y = _whole(y, "labels")
     if K is None:
         K = int(y.max()) if len(y) else 0
     return LabelVector(y, K)

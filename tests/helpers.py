@@ -5,6 +5,32 @@ import numpy as np
 from gfee import EdgeList, as_labels, to_adjacency
 
 
+def knn_batch_sort(train_X, train_y, query_X, k, K, chunk_entries=2_000_000):
+    """Reference kNN: the full stable sort of every distance row that
+    ``classify._knn_batch`` replaced with a partial selection."""
+    preds = np.empty(len(query_X), dtype=np.int64)
+    train_sq = (train_X ** 2).sum(axis=1)
+    chunk = max(1, chunk_entries // max(1, len(train_X)))
+    for lo in range(0, len(query_X), chunk):
+        q = query_X[lo:lo + chunk]
+        d2 = (q ** 2).sum(axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ train_X.T)
+        np.maximum(d2, 0.0, out=d2)
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nbr_labels = train_y[order] - 1
+        nbr_dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
+        rows = np.repeat(np.arange(len(q)), k)
+        votes = np.zeros((len(q), K))
+        np.add.at(votes, (rows, nbr_labels.ravel()), 1.0)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / nbr_dist
+        inv_sum = np.zeros((len(q), K))
+        np.add.at(inv_sum, (rows, nbr_labels.ravel()), inv.ravel())
+        top = votes == votes.max(axis=1, keepdims=True)
+        score = np.where(top, inv_sum, -1.0)
+        preds[lo:lo + chunk] = score.argmax(axis=1) + 1
+    return preds
+
+
 def row_normalize(Z):
     """Reference row normalization: nonzero rows to unit norm, zero rows kept."""
     Z = np.array(Z, dtype=np.float64)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfee import (
     EvalProtocol,
     GraphCollection,
+    LabelVector,
     as_labels,
     cross_validate,
     cross_validate_embedding,
@@ -14,8 +16,9 @@ from gfee import (
     stratified_folds,
     validate_collection,
 )
+from gfee import classify
 
-from helpers import random_graph
+from helpers import knn_batch_sort, random_graph
 
 
 def test_knn_majority():
@@ -68,10 +71,59 @@ def test_knn_errors():
         knn_predict(np.empty((0, 2)), [], (0, 0), k=1)
     with pytest.raises(ValueError, match="exceeds"):
         knn_predict([(0, 0)], [1], (0, 0), k=2)
+    for k in (0, -1):  # k=0 voted for class 1 with no neighbors; k=-1 used n-1
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            knn_predict([(0, 0), (1, 1), (5, 5)], [2, 2, 2], (0, 0), k=k)
     with pytest.raises(ValueError, match="3 training points but labels"):
         knn_predict([(0, 0), (1, 1), (2, 2)], [1, 2], (0, 0), k=1)
     with pytest.raises(ValueError, match="2 training points but labels"):
         knn_predict([(0, 0), (1, 1)], [1, 2, 1, 2], (0, 0), k=1)
+    with pytest.raises(ValueError, match="query has 3 coordinates, training points have 2"):
+        knn_predict([(0, 0), (1, 1)], [1, 2], (0, 0, 0), k=1)
+
+
+@st.composite
+def grid_knn_cases(draw):
+    """Training and query points on a small integer grid, so exact distance
+    ties (at the k-th place and inside the k nearest) are common."""
+    k = draw(st.integers(1, 7))
+    K = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 3))
+    n_train = draw(st.integers(k, k + 12))
+    n_query = draw(st.integers(1, 8))
+    coord = st.integers(-2, 2)
+    train = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                          min_size=n_train, max_size=n_train))
+    query = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                          min_size=n_query, max_size=n_query))
+    labels = draw(st.lists(st.integers(1, K), min_size=n_train, max_size=n_train))
+    return (np.array(train, dtype=np.float64), np.array(labels, dtype=np.int64),
+            np.array(query, dtype=np.float64), k, K)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(grid_knn_cases())
+def test_knn_batch_matches_full_sort_oracle(case):
+    train, labels, query, k, K = case
+    assert np.array_equal(classify._knn_batch(train, labels, query, k, K),
+                          knn_batch_sort(train, labels, query, k, K))
+
+
+def test_knn_batch_small_chunks_match_oracle(monkeypatch):
+    # chunks of 3 query rows; on a 1-D grid many rows tie across the k-th
+    # place, and such rows fall in several chunks
+    rng = np.random.default_rng(5)
+    train = rng.integers(-4, 5, (40, 1)).astype(np.float64)
+    labels = rng.integers(1, 4, 40)
+    query = rng.integers(-4, 5, (30, 1)).astype(np.float64)
+    k = 5
+    d2 = (query - train.T) ** 2
+    kth = np.sort(d2, axis=1)[:, k - 1:k]
+    tied_rows = np.flatnonzero((d2 <= kth).sum(axis=1) > k)
+    assert len(np.unique(tied_rows // 3)) > 1
+    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 3 * len(train))
+    assert np.array_equal(classify._knn_batch(train, labels, query, k, 3),
+                          knn_batch_sort(train, labels, query, k, 3))
 
 
 def test_protocol_validation():
@@ -160,6 +212,14 @@ def test_cv_singleton_class_trains_without_it():
     assert report.confusion.sum() == 60 * 2  # every labeled vertex once per replicate
     assert report.confusion[2].sum() == 2  # the singleton is scored as usual
     assert np.isfinite(report.per_replicate).all()
+
+
+@pytest.mark.parametrize("y", [[1, 2, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
+                         ids=["fewer-than-k", "empty-training-set"])
+def test_cv_fold_with_fewer_training_points_than_k(y):
+    pts = np.arange(12, dtype=np.float64).reshape(6, 2)
+    with pytest.raises(ValueError, match=r"k=5 exceeds [0-2] training points in fold \d"):
+        cross_validate_embedding(pts, LabelVector(y, 2), EvalProtocol(folds=2, neighbor_count=5))
 
 
 def test_cv_requires_labels():

@@ -53,7 +53,9 @@ def test_validate_is_pure():
     ([0, 2], [1, 4], [1.0, 1.0], "out of range"),
     ([-1, 0], [1, 2], [1.0, 1.0], "out of range"),  # -1 would embed as vertex n - 1
     ([0, 1], [1, 2], [1.0, np.nan], "non-finite"),
-], ids=["index-too-large", "negative-index", "nan-weight"])
+    ([0.5, 1.9], [1.7, 2.2], [1.0, 1.0], "whole numbers"),  # would truncate to [0, 1], [1, 2]
+    ([0, np.nan], [1, 2], [1.0, 1.0], "whole numbers"),
+], ids=["index-too-large", "negative-index", "nan-weight", "fractional-index", "nan-index"])
 def test_edgelist_rejects_bad_edges(u, v, w, match):
     with pytest.raises(ValueError, match=match):
         EdgeList(np.array(u), np.array(v), np.array(w), n=4, directed=True)
@@ -63,10 +65,25 @@ def test_edgelist_rejects_bad_edges(u, v, w, match):
     ([1, 5, 1, 2], 2, r"label outside 0\.\.2"),
     ([1, -1, 2], 2, r"label outside 0\.\.2"),  # -1 would be an unknown label
     ([0, 0], -1, "K must be >= 0"),
-], ids=["label-above-K", "negative-label", "negative-K"])
+    ([1.7, 2.2, 0.4], 2, "whole numbers"),  # would truncate to [1, 2, 0]
+], ids=["label-above-K", "negative-label", "negative-K", "fractional-label"])
 def test_label_vector_rejects_bad_labels(y, K, match):
     with pytest.raises(ValueError, match=match):
         LabelVector(y, K)
+
+
+def test_whole_float_indices_and_labels_accepted():
+    e = EdgeList([0.0, 1.0], [1.0, 2.0], [1.0, 1.0], n=3)
+    assert e.u.dtype.kind == "i" and list(e.u) == [0, 1] and list(e.v) == [1, 2]
+    assert list(make_edgelist([2.0], [0.0], n=3).u) == [2]
+    assert list(as_labels([1.0, 2.0, 0.0]).y) == [1, 2, 0]
+
+
+def test_fractional_indices_and_labels_rejected_by_builders():
+    with pytest.raises(ValueError, match="whole numbers"):
+        as_labels([1.7, 2.2, 0.4])
+    with pytest.raises(ValueError, match="whole numbers"):
+        make_edgelist([0.5], [1], n=3)
 
 
 def test_dense_graph_rejects_non_finite():
