@@ -11,7 +11,6 @@ reproducible across platforms.
 from __future__ import annotations
 
 import warnings
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,12 +137,8 @@ def mase_embed(collection: GraphCollection, d: int, d_stage1: int = 30) -> np.nd
     scale lives in graph-specific score matrices, not the shared subspace),
     so every graph competes equally in the second projection.
     """
-    stage1 = []
-    for g in collection.graphs:
-        A = _to_csr(g)
-        r = min(d_stage1, A.shape[0] - 1) if A.shape[0] > DENSE_LIMIT else min(d_stage1, A.shape[0])
-        _, vecs = top_eigenpairs(A, r)
-        stage1.append(vecs)
+    stage1 = [top_eigenpairs(_to_csr(g), min(d_stage1, collection.n))[1]
+              for g in collection.graphs]
     C = np.hstack(stage1)
     U, s, _ = truncated_svd(C, min(d, min(C.shape)))
     return U * s
@@ -156,46 +151,34 @@ def use_embed(collection: GraphCollection, d: int) -> np.ndarray:
     n = collection.n
     unfold = sp.hstack(As, format="csr")
     _, s, V = truncated_svd(unfold, d)
-    scaled = _scale(V, s)  # V * sqrt(s)
-    blocks = [scaled[m * n:(m + 1) * n] for m in range(len(As))]
-    return np.hstack(blocks)
+    return _scale(V, s).reshape(len(As), n, -1).transpose(1, 0, 2).reshape(n, -1)
 
 
-def sweep_embeddings(method: str, collection: GraphCollection,
-                     d_max: int = 30) -> Callable[[int], np.ndarray]:
-    """One decomposition at d_max; returns take(d) slicing out the prefix-d
-    vertex representation for any d <= d_max."""
-    M, n = collection.M, collection.n
+def sweep_embeddings(method: str, collection: GraphCollection, d_max: int = 30):
+    """One decomposition at d_max; returns (E, G), where the prefix-d vertex
+    representation for any d <= E.shape[1] // G is the first d columns of
+    each of E's G equal-width column groups."""
     if method == "omnibus":
-        stacked = omnibus_embed(collection, min(d_max, M * n))
-
-        def take(d):
-            return omnibus_vertex_embedding(stacked[:, :d], M)
-    elif method == "mase":
-        full = mase_embed(collection, d_max)
-
-        def take(d):
-            return full[:, :d]
-    elif method == "use":
-        full = use_embed(collection, d_max)
-        width = full.shape[1] // M
-
-        def take(d):
-            return np.hstack([full[:, m * width:m * width + d] for m in range(M)])
-    else:
-        raise ValueError(f"unknown spectral method: {method!r}")
-    return take
+        stacked = omnibus_embed(collection, min(d_max, collection.M * collection.n))
+        return omnibus_vertex_embedding(stacked, collection.M), 1
+    if method == "mase":
+        return mase_embed(collection, d_max), 1
+    if method == "use":
+        return use_embed(collection, d_max), collection.M
+    raise ValueError(f"unknown spectral method: {method!r}")
 
 
 def best_d_error(method: str, collection: GraphCollection, labels: LabelVector,
                  protocol: EvalProtocol, d_max: int = 30):
     """Sweep d = 1..d_max with shared folds and return (d*, report) at the
     minimum mean error; ties resolve to the smallest d."""
-    take = sweep_embeddings(method, collection, d_max)
-    avail = take(d_max).shape[1] // (collection.M if method == "use" else 1)
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
+    E, G = sweep_embeddings(method, collection, d_max)
+    groups = E.reshape(len(E), G, -1)
     best_d, best_report = None, None
-    for d in range(1, min(d_max, avail) + 1):
-        report = cross_validate_embedding(take(d), labels, protocol)
+    for d in range(1, min(d_max, groups.shape[2]) + 1):
+        report = cross_validate_embedding(groups[:, :, :d].reshape(len(E), -1), labels, protocol)
         if best_report is None or report.mean_error < best_report.mean_error:
             best_d, best_report = d, report
     return best_d, best_report

@@ -126,6 +126,8 @@ def knn_predict(train_points, train_labels, query, k: int = 5):
     if query_X.shape[1] != train_X.shape[1]:
         raise ValueError(f"query has {query_X.shape[1]} coordinates, "
                          f"training points have {train_X.shape[1]}")
+    if not (np.isfinite(train_X).all() and np.isfinite(query_X).all()):
+        raise ValueError("non-finite coordinate in training points or query")
     preds = _knn_batch(train_X, train_y, query_X, k, K)
     return int(preds[0]) if single else preds
 
@@ -222,4 +224,6 @@ def cross_validate_embedding(points, labels: LabelVector,
     points = np.asarray(points, dtype=np.float64)
     if len(points) != labels.n:
         raise ValueError("points/labels length mismatch")
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite coordinate in embedding points")
     return _run_cv(lambda train, test: points, labels, protocol)

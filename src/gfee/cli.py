@@ -106,7 +106,7 @@ def _cmd_baseline(args) -> int:
         print("warning: --dmax ignored for gfee (no dimension parameter)",
               file=sys.stderr)
     rows = run_baseline(_resolve_cli_spec(args), args.method, args.n_grid, _protocol(args),
-                        d_max=args.dmax or 30, jobs=args.jobs)
+                        d_max=30 if args.dmax is None else args.dmax, jobs=args.jobs)
     _emit(rows, args)
     return 0
 

@@ -37,21 +37,21 @@ def build_encoder(labels: LabelVector) -> np.ndarray:
     return W
 
 
-def embed_graph(graph, W: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Per-graph embedding Z_m = A_m @ W, then row-normalized.
+def row_normalize(Z: np.ndarray) -> np.ndarray:
+    """Scale each nonzero row of Z to unit Euclidean norm in place; zero rows
+    stay zero. Returns Z."""
+    norms = np.linalg.norm(Z, axis=1)
+    nz = norms > 0
+    Z[nz] /= norms[nz, None]
+    return Z
 
-    Zero rows of the product stay zero; nonzero rows end up with unit
-    Euclidean norm.
-    """
+
+def embed_graph(graph, W: np.ndarray) -> np.ndarray:
+    """Per-graph embedding Z_m = A_m @ W, then row-normalized."""
     W = np.asarray(W)
     if W.shape[0] != graph.n:
         raise ValueError("graph and encoder disagree on vertex count")
-    Z = sum(T @ W for T in adjacency_terms(graph))
-    if normalize:
-        norms = np.linalg.norm(Z, axis=1)
-        nz = norms > 0
-        Z[nz] /= norms[nz, None]
-    return Z
+    return row_normalize(sum(T @ W for T in adjacency_terms(graph)))
 
 
 def fuse(collection: GraphCollection, labels: LabelVector,

@@ -105,12 +105,19 @@ class DenseGraph:
 
 @dataclass(frozen=True)
 class GraphCollection:
-    """Ordered sequence of graphs sharing one vertex set."""
+    """Ordered, non-empty sequence of graphs sharing one vertex set."""
 
     graphs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "graphs", tuple(self.graphs))
+        graphs = tuple(self.graphs)
+        if not graphs:
+            raise ValueError("collection has no graphs")
+        n = graphs[0].n
+        for m, g in enumerate(graphs[1:], 2):
+            if g.n != n:
+                raise ValueError(f"vertex-count mismatch: graph {m} has n={g.n}, graph 1 has n={n}")
+        object.__setattr__(self, "graphs", graphs)
 
     @property
     def M(self) -> int:
@@ -163,19 +170,12 @@ def as_labels(y, K: int | None = None) -> LabelVector:
 
 
 def validate_collection(collection: GraphCollection, labels: LabelVector) -> list[str]:
-    """Violations in a collection/label pair (empty when usable); never raises."""
-    if collection.M < 1:
-        return ["collection has no graphs"]
+    """Label violations of a collection/label pair (empty when usable); never
+    raises. The collection checks its own graphs when it is built."""
     violations = []
-    n = collection.graphs[0].n
-    for m, g in enumerate(collection.graphs):
-        if g.n != n:
-            violations.append(
-                f"vertex-count mismatch: graph {m + 1} has n={g.n}, graph 1 has n={n}"
-            )
     y = labels.y
-    if len(y) != n:
-        violations.append(f"label length {len(y)} does not match vertex count {n}")
+    if len(y) != collection.n:
+        violations.append(f"label length {len(y)} does not match vertex count {collection.n}")
     counts = np.bincount(y[y > 0], minlength=labels.K + 1)[1:]
     if labels.K >= 1 and counts.sum() == 0:
         violations.append("no training labels")

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .embedding import row_normalize
 from .graph import EdgeList, GraphCollection, LabelVector
 
 @dataclass(frozen=True)
@@ -48,16 +49,6 @@ class BlockSpec:
     blocks: tuple
     degree_law: Optional[DegreeLaw] = None
 
-    def __eq__(self, other):
-        if not isinstance(other, BlockSpec):
-            return NotImplemented
-        return (
-            self.degree_law == other.degree_law
-            and np.array_equal(self.priors, other.priors)
-            and len(self.blocks) == len(other.blocks)
-            and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
-        )
-
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=np.float64)
         blocks = tuple(np.asarray(B, dtype=np.float64) for B in self.blocks)
@@ -65,17 +56,6 @@ class BlockSpec:
             arr.setflags(write=False)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "blocks", blocks)
-        self.validate()
-
-    @property
-    def K(self) -> int:
-        return len(self.priors)
-
-    @property
-    def M(self) -> int:
-        return len(self.blocks)
-
-    def validate(self) -> None:
         if not np.isclose(self.priors.sum(), 1.0):
             raise ValueError("priors must sum to 1")
         if ((self.priors <= 0) | (self.priors >= 1)).any() and self.K > 1:
@@ -95,6 +75,14 @@ class BlockSpec:
                     raise ValueError(
                         f"degree law can push block {m + 1} probability to {peak:.3g} > 1"
                     )
+
+    @property
+    def K(self) -> int:
+        return len(self.priors)
+
+    @property
+    def M(self) -> int:
+        return len(self.blocks)
 
     def to_json(self) -> str:
         law = None
@@ -274,15 +262,7 @@ def normalized_blocks(spec_or_blocks) -> np.ndarray:
     All-zero rows are left zero.
     """
     blocks = spec_or_blocks.blocks if isinstance(spec_or_blocks, BlockSpec) else spec_or_blocks
-    parts = []
-    for B in blocks:
-        B = np.asarray(B, dtype=np.float64)
-        norms = np.linalg.norm(B, axis=1)
-        out = np.array(B)
-        nz = norms > 0
-        out[nz] /= norms[nz, None]
-        parts.append(out)
-    return np.hstack(parts)
+    return np.hstack([row_normalize(np.array(B, dtype=np.float64)) for B in blocks])
 
 
 def is_identifiable(spec_or_blocks, tol: float = 1e-9):

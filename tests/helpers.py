@@ -3,6 +3,7 @@
 import numpy as np
 
 from gfee import EdgeList, as_labels, to_adjacency
+from gfee.graph import adjacency_terms
 
 
 def knn_batch_sort(train_X, train_y, query_X, k, K, chunk_entries=2_000_000):
@@ -39,6 +40,12 @@ def row_normalize(Z):
         if nrm > 0:
             Z[i] = Z[i] / nrm
     return Z
+
+
+def adjacency_product(g, W):
+    """The product A @ W that embed_graph row-normalizes, from the same
+    sparse terms."""
+    return sum(T @ np.asarray(W) for T in adjacency_terms(g))
 
 
 def dense_embed_oracle(e, W):

@@ -197,7 +197,7 @@ def test_all_methods_agree_for_single_graph():
         BlockSpec(priors=[0.5, 0.5], blocks=[[[0.15, 0.1], [0.1, 0.15]]]), 400, 33)
     proto = EvalProtocol(folds=5, replicates=3, seed=5)
     errors = [
-        cross_validate_embedding(bl.sweep_embeddings(m, coll, 2)(2), y, proto).mean_error
+        cross_validate_embedding(bl.sweep_embeddings(m, coll, 2)[0], y, proto).mean_error
         for m in ("omnibus", "use")
     ]
     errors.append(
@@ -251,6 +251,18 @@ def test_best_d_tie_returns_smallest():
 def test_sweep_prefix_matches_direct():
     rng = np.random.default_rng(13)
     coll = GraphCollection(tuple(random_graph(rng, 40, density=0.3) for _ in range(2)))
-    take = bl.sweep_embeddings("omnibus", coll, 6)
+    E, G = bl.sweep_embeddings("omnibus", coll, 6)
     direct = omnibus_vertex_embedding(omnibus_embed(coll, 3), 2)
-    assert np.allclose(take(3), direct, atol=1e-9)
+    assert G == 1 and np.allclose(E[:, :3], direct, atol=1e-9)
+    # USE: the prefix-3 representation is the first 3 columns of each graph's group
+    E, G = bl.sweep_embeddings("use", coll, 6)
+    assert G == 2 and E.shape == (40, 12)
+    direct = use_embed(coll, 3)
+    assert np.allclose(np.hstack([E[:, :3], E[:, 6:9]]), direct, atol=1e-9)
+
+
+def test_best_d_rejects_d_max_below_one():
+    coll, y, _ = sample_collection(TWO_BLOCK, 60, 21)
+    for method in ("omnibus", "mase", "use"):
+        with pytest.raises(ValueError, match="d_max must be >= 1"):
+            best_d_error(method, coll, y, EvalProtocol(folds=3, replicates=1), d_max=0)

@@ -80,6 +80,12 @@ def test_knn_errors():
         knn_predict([(0, 0), (1, 1)], [1, 2, 1, 2], (0, 0), k=1)
     with pytest.raises(ValueError, match="query has 3 coordinates, training points have 2"):
         knn_predict([(0, 0), (1, 1)], [1, 2], (0, 0, 0), k=1)
+    # each case used to return a prediction
+    for train, query in [([(0, 0), (1, 1), (5, 5)], (np.nan, 0)),
+                         ([(0, 0), (np.nan, 1), (5, 5)], (0, 0)),
+                         ([(0, 0), (1, 1), (np.inf, 5)], [(0, 0), (1, 1)])]:
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            knn_predict(train, [2, 2, 1], query, k=1)
 
 
 @st.composite
@@ -142,6 +148,19 @@ def test_stratified_folds_balanced():
     assert np.all(assign[y == 0] == -1)
     for k in (1, 2):
         sizes = np.bincount(assign[y == k], minlength=5)
+        assert sizes.max() - sizes.min() <= 1
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(0, 4), max_size=60), st.integers(2, 7), st.integers(0, 2 ** 32 - 1))
+def test_stratified_folds_properties(y, folds, seed):
+    y = np.array(y, dtype=np.int64)
+    assign = stratified_folds(y, folds, np.random.default_rng(seed))
+    assert assign.shape == y.shape
+    assert np.all(assign[y == 0] == -1)
+    assert np.all((assign[y > 0] >= 0) & (assign[y > 0] < folds))
+    for k in np.unique(y[y > 0]):
+        sizes = np.bincount(assign[y == k], minlength=folds)
         assert sizes.max() - sizes.min() <= 1
 
 
@@ -220,6 +239,16 @@ def test_cv_fold_with_fewer_training_points_than_k(y):
     pts = np.arange(12, dtype=np.float64).reshape(6, 2)
     with pytest.raises(ValueError, match=r"k=5 exceeds [0-2] training points in fold \d"):
         cross_validate_embedding(pts, LabelVector(y, 2), EvalProtocol(folds=2, neighbor_count=5))
+
+
+def test_cv_embedding_rejects_non_finite_points():
+    # a NaN point used to be scored like any other: mean error 0.0 here
+    rng = np.random.default_rng(1)
+    pts = np.vstack([rng.normal(0, 0.1, (10, 2)), rng.normal(10, 0.1, (10, 2))])
+    pts[4, 1] = np.nan
+    y = as_labels([1] * 10 + [2] * 10)
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        cross_validate_embedding(pts, y, EvalProtocol(folds=5, replicates=1, seed=0))
 
 
 def test_cv_requires_labels():

@@ -142,6 +142,14 @@ def test_baseline_spectral(capsys):
     assert ",use," in lines[1]
 
 
+def test_baseline_dmax_zero_exits_2(capsys):
+    # --dmax 0 used to run with d_max = 30
+    code = main(["baseline", "--sim", "sim1", "--method", "omnibus", "--dmax", "0",
+                 "--n-grid", "150", "--folds", "3", "--replicates", "1", "--seed", "6"])
+    assert code == 2
+    assert "d_max must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_method_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["baseline", "--sim", "sim1", "--method", "pca"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfee import (
     DenseGraph,
@@ -17,7 +18,7 @@ from gfee import (
     to_adjacency,
 )
 
-from helpers import dense_embed_oracle, random_graph, random_labels
+from helpers import adjacency_product, dense_embed_oracle, random_graph, random_labels
 
 
 def test_class_counts_basic():
@@ -53,7 +54,7 @@ def test_embed_graph_hand_example():
     e = make_edgelist([0, 0], [1, 2], n=3)
     y = as_labels([1, 1, 2])
     W = build_encoder(y)
-    pre = embed_graph(e, W, normalize=False)
+    pre = adjacency_product(e, W)
     assert np.allclose(pre, [[0.5, 1.0], [0.5, 0.0], [0.5, 0.0]])
     post = embed_graph(e, W)
     assert np.allclose(post[0], [0.4472135955, 0.894427191], atol=1e-9)
@@ -152,8 +153,8 @@ def test_unlabeling_rescales_pre_normalization_columns():
     y2 = y.y.copy()
     dropped_class = y2[drop]
     y2[drop] = 0
-    pre = embed_graph(e, build_encoder(y), normalize=False)
-    pre2 = embed_graph(e, build_encoder(as_labels(y2, 2)), normalize=False)
+    pre = adjacency_product(e, build_encoder(y))
+    pre2 = adjacency_product(e, build_encoder(as_labels(y2, 2)))
     counts = class_counts(y)
     counts2 = class_counts(as_labels(y2, 2))
     # vertices not adjacent to the dropped vertex only see the count rescale
@@ -198,6 +199,27 @@ def test_fuse_threaded_matches_serial():
     assert np.array_equal(fuse(coll, y), fuse(coll, y, jobs=4))
 
 
+@st.composite
+def labeled_edgelists(draw):
+    """Small graphs where self-loops and duplicate edges are common, either
+    orientation, with partly unknown labels."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, 40))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    w = draw(st.lists(st.floats(0.1, 3.0), min_size=m, max_size=m))
+    e = EdgeList(draw(ends), draw(ends), w, n=n, directed=draw(st.booleans()))
+    K = draw(st.integers(1, 4))
+    return e, as_labels(draw(st.lists(st.integers(0, K), min_size=n, max_size=n)), K)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(labeled_edgelists())
+def test_sparse_embedding_matches_dense_oracle(case):
+    e, y = case
+    W = build_encoder(y)
+    assert np.allclose(embed_graph(e, W), dense_embed_oracle(e, W), rtol=0, atol=1e-12)
+
+
 def test_dense_graph_path_matches_edgelist():
     rng = np.random.default_rng(12)
     e = random_graph(rng, 18, loops=True)
@@ -210,7 +232,7 @@ def test_dense_graph_path_matches_edgelist():
 def test_directed_embedding_uses_source_rows_only():
     e = make_edgelist([0], [1], n=2, directed=True)
     y = as_labels([2, 1])
-    Z = embed_graph(e, build_encoder(y), normalize=False)
+    Z = adjacency_product(e, build_encoder(y))
     assert np.array_equal(Z, [[1.0, 0.0], [0.0, 0.0]])  # only u gets neighbor v
 
 
@@ -224,7 +246,7 @@ def test_degree_parameters_cancel_after_normalization():
         coll, y, theta = sample_collection(named_spec("sim2"), n, 71)
         W = build_encoder(y)
         post = np.hstack([embed_graph(g, W) for g in coll.graphs])
-        pre = np.hstack([embed_graph(g, W, normalize=False) for g in coll.graphs])
+        pre = np.hstack([adjacency_product(g, W) for g in coll.graphs])
         m = y.y == 1
         corr = lambda Z: max(abs(np.corrcoef(theta[m], Z[m][:, k])[0, 1])
                              for k in range(Z.shape[1]))

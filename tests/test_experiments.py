@@ -47,9 +47,12 @@ def test_run_simulation_deterministic():
 
 def test_prior_coin_floor_matches_closed_form():
     # coin assignment within the pair errs at 2 p q / (p + q) of all vertices
-    floor = prior_coin_floor([0.4, 0.4, 0.2], [(1, 2)], draws=400_000, seed=1)
-    assert abs(floor - 0.4) < 0.005
-    assert prior_coin_floor([0.5, 0.5], [], draws=1000, seed=2) == 0.0
+    assert abs(prior_coin_floor([0.4, 0.4, 0.2], [(1, 2)]) - 0.4) < 1e-15
+    assert abs(prior_coin_floor([0.1, 0.2, 0.3, 0.4], [(1, 3), (2, 4)])
+               - (2 * 0.1 * 0.3 / 0.4 + 2 * 0.2 * 0.4 / 0.6)) < 1e-15
+    # a three-class group: 1 - sum of squared within-group shares, times its mass
+    assert abs(prior_coin_floor([0.25, 0.25, 0.5], [(1, 2, 3)]) - 0.625) < 1e-15
+    assert prior_coin_floor([0.5, 0.5], []) == 0.0
 
 
 def test_class_mean_deviation_shrinks_with_n():
@@ -81,7 +84,7 @@ def test_verify_theorems_non_identifiable_floor():
     ident = next(r for r in rows if r["section"] == "identifiability")
     assert ident["identifiable"] == 0
     assert ident["witness"] == "1,2"
-    assert abs(ident["oracle_floor"] - 0.4) < 0.01
+    assert abs(ident["oracle_floor"] - 0.4) < 1e-15
     # observed error pinned near the coin floor, far from zero
     assert abs(ident["mean_error"] - ident["oracle_floor"]) < 0.05
 

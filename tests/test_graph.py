@@ -24,11 +24,22 @@ def test_validate_well_formed():
 
 
 def test_validate_vertex_count_mismatch():
+    # a collection checks its graphs when it is built, so no collection with
+    # unequal vertex counts (or no graphs) reaches validate_collection or fuse
     g1 = make_edgelist([0], [1], n=5)
     g2 = make_edgelist([0], [1], n=6)
-    violations = validate_collection(GraphCollection((g1, g2)), as_labels([1, 2, 1, 2, 1]))
-    assert violations
-    assert any("vertex-count mismatch" in v for v in violations)
+    with pytest.raises(ValueError, match="vertex-count mismatch: graph 2 has n=6"):
+        GraphCollection((g1, g2))
+    with pytest.raises(ValueError, match="collection has no graphs"):
+        GraphCollection(())
+    with pytest.raises(ValueError, match="collection has no graphs"):
+        GraphCollection((g1, g1)).subset([])
+
+
+def test_validate_label_length():
+    g = make_edgelist([0], [1], n=3)
+    violations = validate_collection(GraphCollection((g,)), as_labels([1, 2]))
+    assert violations == ["label length 2 does not match vertex count 3"]
 
 
 def test_validate_no_training_labels():

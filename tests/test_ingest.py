@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfee import (
+    DenseGraph,
+    EdgeList,
     as_labels,
     attributes_to_similarity_matrix,
     binarize,
@@ -131,6 +134,53 @@ def test_intersect_edge_survival_exact():
     survived = {(u, v) for u, v in zip(g.u, g.v) if u in keep and v in keep}
     got = {(common[u], common[v]) for u, v in zip(coll.graphs[0].u, coll.graphs[0].v)}
     assert got == {(u, v) for u, v in survived}
+
+
+@st.composite
+def graphs_with_ids(draw):
+    """1-3 graphs, each with its own distinct string ids; edgelists carry
+    loops, duplicate edges and either orientation, dense graphs any matrix."""
+    graphs, id_lists = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        ids = draw(st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=8,
+                            unique=True))
+        n = len(ids)
+        if draw(st.booleans()):
+            vals = draw(st.lists(st.floats(-2, 2), min_size=n * n, max_size=n * n))
+            graphs.append(DenseGraph(np.reshape(vals, (n, n))))
+        else:
+            m = draw(st.integers(0, 15))
+            ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+            w = draw(st.lists(st.floats(-2, 2), min_size=m, max_size=m))
+            graphs.append(EdgeList(draw(ends), draw(ends), w, n=n,
+                                   directed=draw(st.booleans())))
+        id_lists.append(ids)
+    return graphs, id_lists
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_with_ids())
+def test_intersect_vertices_matches_set_reference(case):
+    graphs, id_lists = case
+    common = sorted(set.intersection(*map(set, id_lists)))
+    if not common:
+        with pytest.raises(ValueError, match="empty vertex-id intersection"):
+            intersect_vertices(graphs, id_lists)
+        return
+    coll, ids, removed = intersect_vertices(graphs, id_lists)
+    assert list(ids) == common
+    new = {vid: i for i, vid in enumerate(common)}
+    for g, gids, out, gone in zip(graphs, id_lists, coll.graphs, removed):
+        assert list(gone) == [vid for vid in gids if vid not in new]
+        old = {vid: i for i, vid in enumerate(gids)}
+        if isinstance(g, DenseGraph):
+            sub = [[g.matrix[old[a], old[b]] for b in common] for a in common]
+            assert np.array_equal(out.matrix, np.reshape(sub, (len(common),) * 2))
+            continue
+        kept = [(new[gids[u]], new[gids[v]], w) for u, v, w in zip(g.u, g.v, g.w)
+                if gids[u] in new and gids[v] in new]
+        assert list(zip(out.u.tolist(), out.v.tolist(), out.w.tolist())) == kept
+        assert (out.n, out.directed) == (len(common), g.directed)
 
 
 def test_read_attributes(tmp_path):
