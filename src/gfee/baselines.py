@@ -140,6 +140,8 @@ def mase_embed(collection: GraphCollection, d: int, d_stage1: int = 30) -> np.nd
     stage1 = [top_eigenpairs(_to_csr(g), min(d_stage1, collection.n))[1]
               for g in collection.graphs]
     C = np.hstack(stage1)
+    if C.shape[1] == 0:  # every graph has numerical rank 0: an n x 0 embedding
+        return C
     U, s, _ = truncated_svd(C, min(d, min(C.shape)))
     return U * s
 
@@ -171,10 +173,13 @@ def sweep_embeddings(method: str, collection: GraphCollection, d_max: int = 30):
 def best_d_error(method: str, collection: GraphCollection, labels: LabelVector,
                  protocol: EvalProtocol, d_max: int = 30):
     """Sweep d = 1..d_max with shared folds and return (d*, report) at the
-    minimum mean error; ties resolve to the smallest d."""
+    minimum mean error; ties resolve to the smallest d. Numerical rank 0
+    (every graph empty) leaves no d to sweep and raises ValueError."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     E, G = sweep_embeddings(method, collection, d_max)
+    if E.shape[1] == 0:
+        raise ValueError(f"{method}: numerical rank 0, so no dimension d to sweep")
     groups = E.reshape(len(E), G, -1)
     best_d, best_report = None, None
     for d in range(1, min(d_max, groups.shape[2]) + 1):

@@ -62,8 +62,8 @@ class ErrorReport:
             "confusion": self.confusion.astype(int).tolist(),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def _knn_batch(train_X, train_y, query_X, k, K):
@@ -146,7 +146,7 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 
 def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> ErrorReport:
-    """Shared CV loop; embed_for_fold(train_mask, test_mask) -> points."""
+    """Shared CV loop; embed_for_fold(test_mask) -> points of every vertex."""
     y = labels.y
     K = labels.K
     if not (y > 0).any():
@@ -171,7 +171,7 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> Erro
                 raise ValueError(f"k={k} exceeds {n_train} training points "
                                  f"in fold {f + 1} of replicate {r + 1}")
             short_folds += int((np.bincount(y[train], minlength=K + 1)[1:] == 0).any())
-            points = embed_for_fold(train, test)
+            points = embed_for_fold(test)
             preds = _knn_batch(points[train], y[train], points[test], k, K)
             truth = y[test]
             confusion += np.bincount((truth - 1) * K + preds - 1, minlength=K * K).reshape(K, K)
@@ -204,7 +204,7 @@ def cross_validate(collection: GraphCollection, labels: LabelVector,
     labels = as_labels(labels)
     y = labels.y
 
-    def embed_for_fold(train, test):
+    def embed_for_fold(test):
         masked = y.copy()
         masked[test] = 0
         return fuse(collection, LabelVector(masked, labels.K), jobs=jobs)
@@ -226,4 +226,4 @@ def cross_validate_embedding(points, labels: LabelVector,
         raise ValueError("points/labels length mismatch")
     if not np.isfinite(points).all():
         raise ValueError("non-finite coordinate in embedding points")
-    return _run_cv(lambda train, test: points, labels, protocol)
+    return _run_cv(lambda test: points, labels, protocol)

@@ -18,13 +18,18 @@ from .graph import GraphCollection, read_edgelist, read_labels, validate_collect
 from .ingest import load_manifest
 from .sbm import BlockSpec, named_spec
 
+DEFAULT_N_GRID = (500, 1000, 2000, 5000, 10000)
+
 
 class _ValidationFailure(Exception):
     pass
 
 
 def _parse_ints(text: str):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    values = tuple(int(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _protocol(args) -> EvalProtocol:
@@ -38,7 +43,7 @@ def _protocol(args) -> EvalProtocol:
 
 
 def _load_inputs(args):
-    if getattr(args, "manifest", None):
+    if args.manifest:
         collection, labels = load_manifest(args.manifest)
     else:
         if not args.graphs or not args.labels:
@@ -69,7 +74,7 @@ def _cmd_embed(args) -> int:
 def _cmd_evaluate(args) -> int:
     collection, labels = _load_inputs(args)
     if args.subset:
-        indices = [i - 1 for i in _parse_ints(args.subset)]
+        indices = [i - 1 for i in args.subset]
         if any(i < 0 or i >= collection.M for i in indices):
             raise _ValidationFailure(f"--subset indices must be in 1..{collection.M}")
         collection = collection.subset(indices)
@@ -79,18 +84,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _resolve_cli_spec(args) -> BlockSpec:
-    if getattr(args, "spec", None):
+    if args.spec:
         with open(args.spec) as fh:
             return BlockSpec.from_json(fh.read())
     return named_spec(args.sim)
 
 
 def _emit(rows, args) -> None:
-    if args.out and args.out != "-":
-        write_table(rows, args.out)
-    else:
+    if args.out == "-":
         write_table(rows, sys.stdout)
-    if getattr(args, "gnuplot_dir", None):
+    else:
+        with open(args.out, "w", newline="") as fh:
+            write_table(rows, fh)
+    if args.gnuplot_dir:
         write_gnuplot(rows, args.gnuplot_dir)
 
 
@@ -130,7 +136,7 @@ def _add_protocol_flags(p, folds=5, replicates=20):
 def _add_sim_flags(p):
     p.add_argument("--sim", choices=("sim1", "sim2", "sim3"), default="sim1")
     p.add_argument("--spec", metavar="JSON", help="block-spec file overriding --sim")
-    p.add_argument("--n-grid", dest="n_grid", type=_parse_ints, default=None,
+    p.add_argument("--n-grid", dest="n_grid", type=_parse_ints, default=DEFAULT_N_GRID,
                    metavar="N1,N2,...")
     p.add_argument("--out", default="-", metavar="FILE")
     p.add_argument("--gnuplot-dir", dest="gnuplot_dir", default=None, metavar="DIR")
@@ -151,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validated 5-NN error report")
     _add_io_flags(p)
     _add_protocol_flags(p)
-    p.add_argument("--subset", default=None, metavar="I,J,...",
+    p.add_argument("--subset", type=_parse_ints, default=None, metavar="I,J,...",
                    help="1-based graph indices to fuse")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -180,10 +186,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (_ValidationFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected runtime failure

@@ -62,7 +62,7 @@ def fuse(collection: GraphCollection, labels: LabelVector,
     independent and run on a pool of ``jobs`` threads (one if None). The
     output covers every vertex, labeled or not.
     """
-    W = build_encoder(as_labels(labels))
+    W = build_encoder(labels)
     with ThreadPoolExecutor(max_workers=max(1, jobs or 1)) as pool:
         return np.hstack(list(pool.map(lambda g: embed_graph(g, W), collection.graphs)))
 
@@ -87,7 +87,10 @@ def export_binary(Z: np.ndarray, path) -> None:
 def load_binary(path) -> np.ndarray:
     """Read back an export_binary dump."""
     with open(path, "rb") as fh:
-        n, dims = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError(f"truncated embedding dump: {len(header)}-byte header")
+        n, dims = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(), dtype="<f8")
     if len(data) != n * dims:
         raise ValueError(f"truncated embedding dump: expected {n}x{dims}")

@@ -1,14 +1,15 @@
 """Simulation runners and theorem-style verification suites.
 
-Each emitted table row carries provenance (seed, spec hash, code version,
-wall time) so runs can be regression-tracked. All randomness is keyed off a
-single seed; identical seeds reproduce tables byte for byte on one platform.
+Each runner takes a BlockSpec, an n grid and an EvalProtocol and returns
+rows for write_table (CSV) and write_gnuplot. Each row carries provenance
+(seed, spec hash, code version, wall time); identical protocol seeds
+reproduce tables byte for byte on one platform.
 """
 
 from __future__ import annotations
 
+import csv
 import subprocess
-import sys
 import time
 from importlib import metadata
 from pathlib import Path
@@ -21,13 +22,9 @@ from .embedding import fuse
 from .sbm import (
     BlockSpec,
     coincident_groups,
-    is_identifiable,
-    named_spec,
     normalized_blocks,
     sample_collection,
 )
-
-DEFAULT_N_GRID = (500, 1000, 2000, 5000, 10000)
 
 _COLUMNS = (
     "section", "n", "graphs", "method", "best_d", "mean_error", "std_error",
@@ -54,10 +51,6 @@ def code_version() -> str:
         return "unknown"
 
 
-def _resolve_spec(spec) -> BlockSpec:
-    return named_spec(spec) if isinstance(spec, str) else spec
-
-
 def _draw_seed(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), *map(int, key)])
 
@@ -68,10 +61,9 @@ def _inner_protocol(protocol: EvalProtocol, seed: int, *key: int) -> EvalProtoco
                         neighbor_count=protocol.neighbor_count, seed=fold_seed)
 
 
-def class_mean_deviation(spec, n: int, seed) -> float:
+def class_mean_deviation(spec: BlockSpec, n: int, seed) -> float:
     """Max over classes of the distance between the class-mean embedding and
     the corresponding normalized block row, for one fully labeled draw."""
-    spec = _resolve_spec(spec)
     collection, labels, _ = sample_collection(spec, n, seed)
     Z = fuse(collection, labels)
     Bt = normalized_blocks(spec)
@@ -142,17 +134,14 @@ def _row(section: str, n, provenance: dict, wall_time_s: float,
     return row
 
 
-def run_simulation(name, n_grid=None, protocol: EvalProtocol | None = None,
-                   subsets=None, jobs: int | None = None):
+def run_simulation(spec: BlockSpec, n_grid, protocol: EvalProtocol,
+                   jobs: int | None = None):
     """Classification error per vertex count and nested graph subset.
 
-    Every replicate draws a fresh collection; subsets are nested prefixes
-    1..m. Returns table rows ready for write_table.
+    Every replicate draws a fresh collection; subsets are the nested
+    prefixes 1..m for m = 1..M. Returns table rows ready for write_table.
     """
-    spec = _resolve_spec(name)
-    protocol = protocol or EvalProtocol(folds=10)
-    n_grid = DEFAULT_N_GRID if n_grid is None else n_grid
-    subset_sizes = list(subsets) if subsets else list(range(1, spec.M + 1))
+    subset_sizes = list(range(1, spec.M + 1))
     base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:
@@ -162,18 +151,17 @@ def run_simulation(name, n_grid=None, protocol: EvalProtocol | None = None,
     return rows
 
 
-def verify_theorems(spec, n_grid=None, protocol: EvalProtocol | None = None,
+def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol,
                     jobs: int | None = None):
     """Empirical checks of the three structural claims.
 
     Emits (a) the class-mean convergence curve over n, (b) the row-uniqueness
     verdict with the exact prior-coin error floor and the observed error
     at the largest n, and (c) the nested-subset monotonicity table. The
-    observed error in (b) is the all-graphs arm of (c), computed once.
+    observed error in (b) is the all-graphs arm of (c), computed once; its
+    verdict, witness and floor come from one coincident_groups call.
     """
-    spec = _resolve_spec(spec)
-    protocol = protocol or EvalProtocol(folds=10)
-    n_grid = sorted(DEFAULT_N_GRID if n_grid is None else n_grid)
+    n_grid = sorted(n_grid)
     base = _provenance(spec, protocol)
     rows = []
 
@@ -191,19 +179,18 @@ def verify_theorems(spec, n_grid=None, protocol: EvalProtocol | None = None,
     errors, times = _subset_errors(spec, n_top, subset_sizes, protocol, jobs)
 
     start = time.perf_counter()
-    identifiable, witness = is_identifiable(spec)
-    floor = prior_coin_floor(spec.priors, coincident_groups(spec))
+    groups = coincident_groups(spec)
     rows.append(_row("identifiability", n_top, base,
                      time.perf_counter() - start + times[-1], errors=errors[-1],
-                     identifiable=int(identifiable),
-                     witness="" if witness is None else f"{witness[0]},{witness[1]}",
-                     oracle_floor=floor))
+                     identifiable=int(not groups),
+                     witness=",".join(map(str, groups[0][:2])) if groups else "",
+                     oracle_floor=prior_coin_floor(spec.priors, groups)))
     for si, m in enumerate(subset_sizes):
         rows.append(_row("monotonicity", n_top, base, times[si], graphs=m, errors=errors[si]))
     return rows
 
 
-def run_baseline(name, method: str, n_grid=None, protocol: EvalProtocol | None = None,
+def run_baseline(spec: BlockSpec, method: str, n_grid, protocol: EvalProtocol,
                  d_max: int = 30, jobs: int | None = None):
     """Baseline comparison table: best-d spectral error (or the fusion
     embedding's error) per vertex count and nested subset.
@@ -211,9 +198,6 @@ def run_baseline(name, method: str, n_grid=None, protocol: EvalProtocol | None =
     One collection is drawn per n and shared across methods' subset arms;
     replicates are CV re-splits on that draw.
     """
-    spec = _resolve_spec(name)
-    protocol = protocol or EvalProtocol(folds=10)
-    n_grid = DEFAULT_N_GRID if n_grid is None else n_grid
     base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:
@@ -232,25 +216,17 @@ def run_baseline(name, method: str, n_grid=None, protocol: EvalProtocol | None =
 
 
 def _format(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return "" if value is None else str(value)
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def write_table(rows, out=sys.stdout) -> None:
-    """CSV emission with a fixed column order; missing fields stay blank."""
+def write_table(rows, fh) -> None:
+    """CSV to the open text file fh with a fixed column order; missing fields
+    stay blank, floats print as %.10g, and a field holding a comma (the
+    witness "1,2" of a non-identifiable spec) is quoted."""
     cols = [c for c in _COLUMNS if any(c in row for row in rows)]
-
-    def emit(fh):
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_format(row.get(c, "")) for c in cols) + "\n")
-
-    if hasattr(out, "write"):
-        emit(out)
-    else:
-        with open(out, "w") as fh:
-            emit(fh)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows([_format(row.get(c, "")) for c in cols] for row in rows)
 
 
 def write_gnuplot(rows, outdir) -> None:
@@ -259,12 +235,11 @@ def write_gnuplot(rows, outdir) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     arms = {}
     for row in rows:
-        if "mean_error" in row and "n" in row and row.get("graphs"):
+        if "mean_error" in row and "graphs" in row:
             arms.setdefault(row["graphs"], []).append(row)
     for graphs, arm in arms.items():
-        path = outdir / f"subset_{graphs.replace(',', '_')}.dat"
-        with open(path, "w") as fh:
+        with open(outdir / f"subset_{graphs}.dat", "w") as fh:
             fh.write("# n mean_error std_error\n")
             for row in sorted(arm, key=lambda r: r["n"]):
                 fh.write(f"{row['n']} {_format(row['mean_error'])} "
-                         f"{_format(row.get('std_error', 0.0))}\n")
+                         f"{_format(row['std_error'])}\n")

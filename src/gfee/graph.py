@@ -65,21 +65,17 @@ def make_edgelist(u, v, w=None, *, n: int, directed: bool = False,
     ``simple`` declares the graph loop-free: self-loops in the input are
     dropped with a warning. Weight defaults to 1 per edge.
     """
-    u = _whole(u, "vertex indices")
-    v = _whole(v, "vertex indices")
-    if w is None:
-        w = np.ones(len(u))
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    e = EdgeList(u, v, np.ones(len(u)) if w is None else w, n=n, directed=directed)
     if simple:
-        loops = u == v
+        loops = e.u == e.v
         if loops.any():
             warnings.warn(
                 f"dropping {int(loops.sum())} self-loop(s) from graph declared simple",
                 stacklevel=2,
             )
             keep = ~loops
-            u, v, w = u[keep], v[keep], w[keep]
-    return EdgeList(u, v, w, n=n, directed=directed)
+            e = EdgeList(e.u[keep], e.v[keep], e.w[keep], n=e.n, directed=directed)
+    return e
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ def write_edgelist(e: EdgeList, path) -> None:
             fh.write(f"{u + 1} {v + 1} {float(w)!r}\n")
 
 
-def read_labels(path, K: int | None = None) -> LabelVector:
+def read_labels(path) -> LabelVector:
     """Load a label file: one integer per line, line i = label of vertex i."""
     vals = []
     lineno = 0
@@ -285,7 +281,7 @@ def read_labels(path, K: int | None = None) -> LabelVector:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
-        return as_labels(np.asarray(vals, dtype=np.int64), K)
+        return as_labels(np.asarray(vals, dtype=np.int64))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -134,6 +134,11 @@ def load_manifest(path):
     """
     path = Path(path)
     spec = json.loads(path.read_text())
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
+    for key in ("graphs", "labels"):
+        if key not in spec:
+            raise ValueError(f"{path}: manifest has no {key!r} key")
     base = path.parent
 
     graphs, id_lists = [], []

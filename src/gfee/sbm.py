@@ -23,6 +23,10 @@ import numpy as np
 from .embedding import row_normalize
 from .graph import EdgeList, GraphCollection, LabelVector
 
+# normalized block rows coincide when no entry differs by more than this
+_COINCIDE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class DegreeLaw:
     """Distribution of the per-vertex degree parameters (uniform on [a, b])."""
@@ -246,13 +250,8 @@ def sample_collection(spec: BlockSpec, n: int, seed):
     theta = None
     if spec.degree_law is not None:
         theta = spec.degree_law.sample(n, np.random.default_rng(streams[1]))
-    graphs = []
-    for m, B in enumerate(spec.blocks):
-        rng = np.random.default_rng(streams[m + 2])
-        if theta is None:
-            graphs.append(sample_sbm(labels, B, rng))
-        else:
-            graphs.append(sample_dcsbm(labels, B, theta, rng))
+    graphs = [_sample_edges(labels, B, theta, np.random.default_rng(streams[m + 2]))
+              for m, B in enumerate(spec.blocks)]
     return GraphCollection(tuple(graphs)), labels, theta
 
 
@@ -265,23 +264,19 @@ def normalized_blocks(spec_or_blocks) -> np.ndarray:
     return np.hstack([row_normalize(np.array(B, dtype=np.float64)) for B in blocks])
 
 
-def is_identifiable(spec_or_blocks, tol: float = 1e-9):
+def is_identifiable(spec_or_blocks):
     """Whether all rows of the normalized concatenated block matrix differ.
 
-    Returns (True, None) when every pair of classes is separable, otherwise
-    (False, (k, l)) with a coinciding 1-based class pair as witness.
+    Returns (True, None) when coincident_groups finds no group, otherwise
+    (False, (k, l)): the first two 1-based classes of its first group.
     """
-    Bt = normalized_blocks(spec_or_blocks)
-    K = Bt.shape[0]
-    for k in range(K):
-        for l in range(k + 1, K):
-            if np.abs(Bt[k] - Bt[l]).max() <= tol:
-                return False, (k + 1, l + 1)
-    return True, None
+    groups = coincident_groups(spec_or_blocks)
+    return (False, groups[0][:2]) if groups else (True, None)
 
 
-def coincident_groups(spec_or_blocks, tol: float = 1e-9):
-    """Groups of classes (1-based, size >= 2) whose normalized rows coincide.
+def coincident_groups(spec_or_blocks):
+    """Groups of classes (1-based, ascending, size >= 2) whose normalized rows
+    coincide, ordered by their smallest class.
 
     Vertices of classes within one group are asymptotically indistinguishable.
     """
@@ -290,7 +285,7 @@ def coincident_groups(spec_or_blocks, tol: float = 1e-9):
     group_of = list(range(K))
     for k in range(K):
         for l in range(k + 1, K):
-            if np.abs(Bt[k] - Bt[l]).max() <= tol:
+            if np.abs(Bt[k] - Bt[l]).max() <= _COINCIDE_TOL:
                 tgt, src = group_of[k], group_of[l]
                 group_of = [tgt if g == src else g for g in group_of]
     groups = {}

@@ -266,3 +266,14 @@ def test_best_d_rejects_d_max_below_one():
     for method in ("omnibus", "mase", "use"):
         with pytest.raises(ValueError, match="d_max must be >= 1"):
             best_d_error(method, coll, y, EvalProtocol(folds=3, replicates=1), d_max=0)
+
+
+@pytest.mark.parametrize("method", ["omnibus", "mase", "use"])
+def test_best_d_rank_zero_raises(method):
+    # an edgeless collection has no direction to sweep; omnibus and USE used to
+    # return (None, None) and MASE to fail inside its second-stage SVD
+    coll = GraphCollection(tuple(make_edgelist([], [], n=40) for _ in range(2)))
+    y = np.tile([1, 2], 20)
+    with pytest.warns(UserWarning, match="numerical rank 0"), \
+            pytest.raises(ValueError, match=f"{method}: numerical rank 0"):
+        best_d_error(method, coll, y, EvalProtocol(folds=3, replicates=1), d_max=5)

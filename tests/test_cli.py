@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -166,3 +167,54 @@ def test_spec_file_override(tmp_path, capsys):
                  "--folds", "3", "--replicates", "1", "--seed", "8"])
     assert code == 0
     assert "identifiability" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "baseline"])
+def test_empty_n_grid_usage_error(command, capsys):
+    # verify used to fail with an IndexError, simulate and baseline to print
+    # a blank table
+    args = [command, "--sim", "sim1", "--n-grid", ",", "--seed", "1"]
+    if command == "baseline":
+        args += ["--method", "gfee"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--n-grid" in capsys.readouterr().err
+
+
+def test_verify_non_identifiable_table_parses(tmp_path):
+    # classes 1 and 2 coincide: the witness "1,2" must stay one quoted field
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({
+        "priors": [0.4, 0.4, 0.2],
+        "blocks": [[[0.1, 0.1, 0.05], [0.1, 0.1, 0.05], [0.05, 0.05, 0.15]]],
+    }))
+    out = tmp_path / "table.csv"
+    code = main(["verify", "--spec", str(spec_file), "--n-grid", "200",
+                 "--folds", "3", "--replicates", "1", "--seed", "8", "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(None not in r and None not in r.values() for r in rows)
+    ident = next(r for r in rows if r["section"] == "identifiability")
+    assert ident["identifiable"] == "0" and ident["witness"] == "1,2"
+    assert abs(float(ident["oracle_floor"]) - 0.4) < 1e-15
+
+
+def test_baseline_edgeless_spec_exits_2(tmp_path, capsys):
+    # all-zero blocks give edgeless graphs of numerical rank 0
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"priors": [0.5, 0.5], "blocks": [[[0, 0], [0, 0]]]}))
+    with pytest.warns(UserWarning, match="numerical rank 0"):
+        code = main(["baseline", "--spec", str(spec_file), "--method", "omnibus",
+                     "--n-grid", "60", "--folds", "3", "--replicates", "1", "--seed", "6"])
+    assert code == 2
+    assert "omnibus: numerical rank 0" in capsys.readouterr().err
+
+
+def test_evaluate_manifest_without_labels_exits_2(tmp_path, capsys):
+    (tmp_path / "g1.txt").write_text("1 2\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"graphs": [{"edgelist": "g1.txt"}]}))
+    code = main(["evaluate", "--manifest", str(tmp_path / "manifest.json"), "--seed", "1"])
+    assert code == 2
+    assert "no 'labels' key" in capsys.readouterr().err

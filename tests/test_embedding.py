@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,3 +276,11 @@ def test_export_csv_and_binary_round_trip(tmp_path):
     assert np.array_equal(load_binary(tmp_path / "z.bin"), Z)
     raw = (tmp_path / "z.bin").read_bytes()
     assert len(raw) == 8 + 10 * 4 * 8
+
+
+@pytest.mark.parametrize("raw", [b"", b"\x02\x00\x00", struct.pack("<II", 2, 1) + b"\x00" * 8])
+def test_load_binary_truncated(tmp_path, raw):
+    # a header shorter than 8 bytes used to raise struct.error
+    (tmp_path / "z.bin").write_bytes(raw)
+    with pytest.raises(ValueError, match="truncated embedding dump"):
+        load_binary(tmp_path / "z.bin")

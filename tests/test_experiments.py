@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -9,11 +10,13 @@ from gfee import (
     run_baseline,
     run_simulation,
     class_mean_deviation,
+    named_spec,
     verify_theorems,
     write_gnuplot,
     write_table,
 )
 
+SIM1 = named_spec("sim1")
 CONFUSABLE = BlockSpec(
     priors=[0.4, 0.4, 0.2],
     blocks=[[[0.1, 0.1, 0.05], [0.1, 0.1, 0.05], [0.05, 0.05, 0.15]]],
@@ -28,7 +31,7 @@ def _csv(rows):
 
 def test_run_simulation_structure_and_improvement():
     proto = EvalProtocol(folds=5, replicates=3, seed=17)
-    rows = run_simulation("sim1", [300, 600], proto)
+    rows = run_simulation(SIM1, [300, 600], proto)
     assert len(rows) == 2 * 3  # two n values, three nested subsets
     by_key = {(r["n"], r["graphs"]): r["mean_error"] for r in rows}
     assert by_key[(600, "1-3")] < by_key[(600, "1")]  # more graphs help
@@ -39,8 +42,8 @@ def test_run_simulation_structure_and_improvement():
 
 def test_run_simulation_deterministic():
     proto = EvalProtocol(folds=4, replicates=2, seed=41)
-    a = run_simulation("sim1", [250], proto)
-    b = run_simulation("sim1", [250], proto)
+    a = run_simulation(SIM1, [250], proto)
+    b = run_simulation(SIM1, [250], proto)
     strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
     assert strip(a) == strip(b)
 
@@ -56,14 +59,14 @@ def test_prior_coin_floor_matches_closed_form():
 
 
 def test_class_mean_deviation_shrinks_with_n():
-    small = np.mean([class_mean_deviation("sim1", 300, [s, 0]) for s in range(3)])
-    large = np.mean([class_mean_deviation("sim1", 1500, [s, 1]) for s in range(3)])
+    small = np.mean([class_mean_deviation(SIM1, 300, [s, 0]) for s in range(3)])
+    large = np.mean([class_mean_deviation(SIM1, 1500, [s, 1]) for s in range(3)])
     assert large < small
 
 
 def test_verify_theorems_sections():
     proto = EvalProtocol(folds=5, replicates=3, seed=23)
-    rows = verify_theorems("sim1", [300, 1000], proto)
+    rows = verify_theorems(SIM1, [300, 1000], proto)
     sections = [r["section"] for r in rows]
     assert sections.count("convergence") == 2
     assert sections.count("identifiability") == 1
@@ -87,6 +90,13 @@ def test_verify_theorems_non_identifiable_floor():
     assert abs(ident["oracle_floor"] - 0.4) < 1e-15
     # observed error pinned near the coin floor, far from zero
     assert abs(ident["mean_error"] - ident["oracle_floor"]) < 0.05
+    # read back through the csv module, the quoted witness keeps every
+    # field under its own column
+    table = list(csv.DictReader(io.StringIO(_csv(rows))))
+    assert all(None not in r and None not in r.values() for r in table)
+    ident = next(r for r in table if r["section"] == "identifiability")
+    assert ident["witness"] == "1,2"
+    assert abs(float(ident["oracle_floor"]) - 0.4) < 1e-15
 
 
 def test_run_baseline_rows():

@@ -267,3 +267,17 @@ def test_manifest_attributes_with_ids(tmp_path):
     for got, want in zip(collection.graphs, ref.graphs):
         diff = embed_graph(got, W) - embed_graph(want, W)
         assert np.abs(diff).max() <= 1e-12
+
+
+@pytest.mark.parametrize("manifest, match", [
+    ({"graphs": [{"edgelist": "g1.txt"}]}, "no 'labels' key"),
+    ({"labels": "labels.txt"}, "no 'graphs' key"),
+    ([{"edgelist": "g1.txt"}], "must be a JSON object"),
+])
+def test_manifest_shape_errors_name_file(tmp_path, manifest, match):
+    # these used to surface as a bare KeyError or TypeError
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=match) as exc:
+        load_manifest(path)
+    assert str(exc.value).startswith(f"{path}: ")
