@@ -7,8 +7,8 @@ from .graph import (
     GraphCollection,
     LabelVector,
     as_labels,
+    class_counts,
     from_adjacency,
-    make_edgelist,
     read_edgelist,
     read_labels,
     read_vertex_ids,
@@ -18,7 +18,6 @@ from .graph import (
 )
 from .embedding import (
     build_encoder,
-    class_counts,
     embed_graph,
     export_binary,
     export_csv,
@@ -41,9 +40,8 @@ from .sbm import (
     named_spec,
     normalized_blocks,
     sample_collection,
-    sample_dcsbm,
+    sample_graph,
     sample_labels,
-    sample_sbm,
 )
 from .baselines import (
     best_d_error,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import fuse
-from .graph import GraphCollection, LabelVector, as_labels
+from .graph import GraphCollection, LabelVector, as_labels, class_counts
 
 # cap on the scratch distance matrix (entries) when batching queries
 _CHUNK_ENTRIES = 2_000_000
@@ -170,7 +170,7 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> Erro
             if n_train < k:
                 raise ValueError(f"k={k} exceeds {n_train} training points "
                                  f"in fold {f + 1} of replicate {r + 1}")
-            short_folds += int((np.bincount(y[train], minlength=K + 1)[1:] == 0).any())
+            short_folds += int((class_counts(LabelVector(y[train], K)) == 0).any())
             points = embed_for_fold(test)
             preds = _knn_batch(points[train], y[train], points[test], k, K)
             truth = y[test]

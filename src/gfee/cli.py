@@ -26,9 +26,12 @@ class _ValidationFailure(Exception):
 
 
 def _parse_ints(text: str):
-    values = tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        values = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        values = ()
     if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
@@ -84,10 +87,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _resolve_cli_spec(args) -> BlockSpec:
-    if args.spec:
+    if not args.spec:
+        return named_spec(args.sim)
+    try:
         with open(args.spec) as fh:
             return BlockSpec.from_json(fh.read())
-    return named_spec(args.sim)
+    except ValueError as exc:
+        raise ValueError(f"{args.spec}: {exc}") from None
 
 
 def _emit(rows, args) -> None:

@@ -14,21 +14,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .graph import GraphCollection, LabelVector, adjacency_terms, as_labels
-
-
-def class_counts(labels: LabelVector) -> np.ndarray:
-    """Per-class training counts n_k for k = 1..K; zero labels are skipped."""
-    labels = as_labels(labels)
-    if labels.K < 1:
-        raise ValueError("K must be >= 1")
-    y = labels.y
-    return np.bincount(y[y > 0], minlength=labels.K + 1)[1:]
+from .graph import GraphCollection, LabelVector, adjacency_terms, as_labels, class_counts
 
 
 def build_encoder(labels: LabelVector) -> np.ndarray:
     """Encoder W (n x K) with 1/n_k at (i, y_i) for labeled vertices."""
     labels = as_labels(labels)
+    if labels.K < 1:
+        raise ValueError("K must be >= 1")
     counts = class_counts(labels)
     y = labels.y
     W = np.zeros((labels.n, labels.K))

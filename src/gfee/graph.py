@@ -7,7 +7,7 @@ Vertices are 0-based inside the library; edgelist *files* are 1-based
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,25 +22,35 @@ def _whole(a, what: str) -> np.ndarray:
     return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Make an array read-only and return it. Value types store their arrays
+    through this, so an input ndarray that needs no conversion is kept, not
+    copied, and the caller's own array becomes read-only too."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class EdgeList:
     """Sparse graph as parallel arrays (u, v, w) over n vertices.
 
     Undirected edges are stored once; consumers apply them in both
     directions unless ``directed`` is set. Indices are 0-based whole numbers
-    in [0, n); weights must be finite.
+    in [0, n); weights must be finite and default to 1 per edge.
     """
 
     u: np.ndarray
     v: np.ndarray
-    w: np.ndarray
+    w: np.ndarray | None = None
+    _: KW_ONLY
     n: int
     directed: bool = False
 
     def __post_init__(self):
         u = _whole(self.u, "vertex indices")
         v = _whole(self.v, "vertex indices")
-        w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
+        w = np.ones(len(u)) if self.w is None else self.w
+        w = np.atleast_1d(np.asarray(w, dtype=np.float64))
         if not (len(u) == len(v) == len(w)):
             raise ValueError("u, v, w must have equal length")
         n = int(self.n)
@@ -49,33 +59,12 @@ class EdgeList:
         if not np.isfinite(w).all():
             raise ValueError("non-finite edge weight")
         for name, arr in (("u", u), ("v", v), ("w", w)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "n", n)
 
     @property
     def num_edges(self) -> int:
         return len(self.u)
-
-
-def make_edgelist(u, v, w=None, *, n: int, directed: bool = False,
-                  simple: bool = False) -> EdgeList:
-    """Build an EdgeList from 0-based index arrays.
-
-    ``simple`` declares the graph loop-free: self-loops in the input are
-    dropped with a warning. Weight defaults to 1 per edge.
-    """
-    e = EdgeList(u, v, np.ones(len(u)) if w is None else w, n=n, directed=directed)
-    if simple:
-        loops = e.u == e.v
-        if loops.any():
-            warnings.warn(
-                f"dropping {int(loops.sum())} self-loop(s) from graph declared simple",
-                stacklevel=2,
-            )
-            keep = ~loops
-            e = EdgeList(e.u[keep], e.v[keep], e.w[keep], n=e.n, directed=directed)
-    return e
 
 
 @dataclass(frozen=True)
@@ -91,8 +80,7 @@ class DenseGraph:
             raise ValueError("matrix must be square")
         if not np.isfinite(m).all():
             raise ValueError("non-finite edge weight")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def n(self) -> int:
@@ -142,13 +130,18 @@ class LabelVector:
             raise ValueError(f"K must be >= 0, got {K}")
         if len(y) and (y.min() < 0 or y.max() > K):
             raise ValueError(f"label outside 0..{K}")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "K", K)
 
     @property
     def n(self) -> int:
         return len(self.y)
+
+
+def class_counts(labels: LabelVector) -> np.ndarray:
+    """Per-class training counts n_k for k = 1..K; zero labels are skipped."""
+    y = labels.y
+    return np.bincount(y[y > 0], minlength=labels.K + 1)[1:]
 
 
 def as_labels(y, K: int | None = None) -> LabelVector:
@@ -169,10 +162,9 @@ def validate_collection(collection: GraphCollection, labels: LabelVector) -> lis
     """Label violations of a collection/label pair (empty when usable); never
     raises. The collection checks its own graphs when it is built."""
     violations = []
-    y = labels.y
-    if len(y) != collection.n:
-        violations.append(f"label length {len(y)} does not match vertex count {collection.n}")
-    counts = np.bincount(y[y > 0], minlength=labels.K + 1)[1:]
+    if labels.n != collection.n:
+        violations.append(f"label length {labels.n} does not match vertex count {collection.n}")
+    counts = class_counts(labels)
     if labels.K >= 1 and counts.sum() == 0:
         violations.append("no training labels")
     else:
@@ -230,7 +222,7 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     """Load a 1-based text edgelist: "u v [w]", '#' comments ignored.
 
     Separator may be whitespace or commas. n defaults to the largest index
-    seen.
+    seen. ``simple`` drops self-loops with a warning.
     """
     us, vs, ws = [], [], []
     lineno = 0
@@ -256,9 +248,14 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     if n is None:
         n = int(max(u.max(), v.max())) + 1 if len(u) else 0
     try:
-        return make_edgelist(u, v, w, n=n, directed=directed, simple=simple)
+        e = EdgeList(u, v, w, n=n, directed=directed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if simple and (loops := e.u == e.v).any():
+        warnings.warn(f"dropping {int(loops.sum())} self-loop(s) from graph declared simple",
+                      stacklevel=2)
+        e = EdgeList(e.u[~loops], e.v[~loops], e.w[~loops], n=e.n, directed=directed)
+    return e
 
 
 def write_edgelist(e: EdgeList, path) -> None:

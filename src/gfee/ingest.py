@@ -117,7 +117,10 @@ def intersect_vertices(graphs, id_lists):
 
 def read_attributes(path) -> np.ndarray:
     """Attribute CSV: row i = features of vertex i (no header)."""
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_manifest(path):
@@ -133,12 +136,17 @@ def load_manifest(path):
     File paths are resolved relative to the manifest.
     """
     path = Path(path)
-    spec = json.loads(path.read_text())
+    try:
+        spec = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     for key in ("graphs", "labels"):
         if key not in spec:
             raise ValueError(f"{path}: manifest has no {key!r} key")
+    if not (isinstance(spec["graphs"], list) and all(isinstance(e, dict) for e in spec["graphs"])):
+        raise ValueError(f"{path}: manifest 'graphs' must be a list of objects")
     base = path.parent
 
     graphs, id_lists = [], []
@@ -148,12 +156,15 @@ def load_manifest(path):
                               directed=entry.get("directed", False),
                               simple=entry.get("simple", False))
             if "binarize" in entry:
+                if not isinstance(entry["binarize"], (int, float)):
+                    raise ValueError(f"{path}: 'binarize' must be a number, "
+                                     f"got {entry['binarize']!r}")
                 g = binarize(g, entry["binarize"])
         elif "attributes" in entry:
             X = read_attributes(base / entry["attributes"])
             g = attributes_to_similarity_matrix(X, entry.get("metric", "cosine"))
         else:
-            raise ValueError("manifest graph entry needs 'edgelist' or 'attributes'")
+            raise ValueError(f"{path}: manifest graph entry needs 'edgelist' or 'attributes'")
         graphs.append(g)
         id_lists.append(read_vertex_ids(base / entry["ids"]) if "ids" in entry else None)
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .embedding import row_normalize
-from .graph import EdgeList, GraphCollection, LabelVector
+from .graph import EdgeList, GraphCollection, LabelVector, _frozen
 
 # normalized block rows coincide when no entry differs by more than this
 _COINCIDE_TOL = 1e-9
@@ -29,15 +29,13 @@ _COINCIDE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DegreeLaw:
-    """Distribution of the per-vertex degree parameters (uniform on [a, b])."""
+    """Distribution of the per-vertex degree parameters: uniform on [a, b],
+    the only law, written as "kind": "uniform" in a spec's JSON."""
 
-    kind: str
     a: float
     b: float
 
     def __post_init__(self):
-        if self.kind != "uniform":
-            raise ValueError(f"unsupported degree law kind: {self.kind!r}")
         if not (0 < self.a <= self.b):
             raise ValueError("degree law requires 0 < a <= b")
 
@@ -54,12 +52,9 @@ class BlockSpec:
     degree_law: Optional[DegreeLaw] = None
 
     def __post_init__(self):
-        priors = np.asarray(self.priors, dtype=np.float64)
-        blocks = tuple(np.asarray(B, dtype=np.float64) for B in self.blocks)
-        for arr in (priors, *blocks):
-            arr.setflags(write=False)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "priors", _frozen(np.asarray(self.priors, dtype=np.float64)))
+        object.__setattr__(self, "blocks",
+                           tuple(_frozen(np.asarray(B, dtype=np.float64)) for B in self.blocks))
         if not np.isclose(self.priors.sum(), 1.0):
             raise ValueError("priors must sum to 1")
         if ((self.priors <= 0) | (self.priors >= 1)).any() and self.K > 1:
@@ -91,8 +86,7 @@ class BlockSpec:
     def to_json(self) -> str:
         law = None
         if self.degree_law is not None:
-            law = {"kind": self.degree_law.kind, "a": self.degree_law.a,
-                   "b": self.degree_law.b}
+            law = {"kind": "uniform", "a": self.degree_law.a, "b": self.degree_law.b}
         return json.dumps({
             "K": self.K,
             "priors": self.priors.tolist(),
@@ -103,8 +97,13 @@ class BlockSpec:
     @classmethod
     def from_json(cls, text: str) -> "BlockSpec":
         obj = json.loads(text)
+        if not isinstance(obj, dict) or not {"priors", "blocks"} <= obj.keys():
+            raise ValueError("spec must be a JSON object with 'priors' and 'blocks'")
         law = obj.get("degree_law")
-        degree_law = DegreeLaw(law["kind"], law["a"], law["b"]) if law else None
+        if law and not (isinstance(law, dict) and law.get("kind") == "uniform"
+                        and {"a", "b"} <= law.keys()):
+            raise ValueError(f"degree_law must be uniform with 'a' and 'b', got {law!r}")
+        degree_law = DegreeLaw(law["a"], law["b"]) if law else None
         spec = cls(priors=obj["priors"], blocks=obj["blocks"], degree_law=degree_law)
         if "K" in obj and obj["K"] != spec.K:
             raise ValueError("K field disagrees with priors length")
@@ -123,7 +122,7 @@ def named_spec(name: str) -> BlockSpec:
             B = np.full((4, 4), 0.1)
             B[j, j] = 0.2
             blocks.append(B)
-        law = DegreeLaw("uniform", 0.1, 0.5) if name == "sim2" else None
+        law = DegreeLaw(0.1, 0.5) if name == "sim2" else None
         return BlockSpec(priors=priors, blocks=blocks, degree_law=law)
     if name == "sim3":
         signal = np.full((4, 4), 0.1) + 0.1 * np.eye(4)
@@ -210,31 +209,25 @@ def _sample_blockwise(y0, B, theta, rng):
     return u, v
 
 
-def _sample_edges(labels: LabelVector, B, theta, rng) -> EdgeList:
+def sample_graph(labels: LabelVector, B, theta=None, rng=None) -> EdgeList:
+    """One undirected graph, no loops: edge i<j present w.p. B[y_i, y_j] (SBM),
+    or theta_i theta_j B[y_i, y_j] when ``theta`` is given (DC-SBM).
+
+    ``theta`` is the shared per-vertex parameter vector for this replicate
+    (draw it once with ``DegreeLaw.sample`` and reuse for every graph); rng
+    may be a seed.
+    """
     y0 = labels.y - 1
     if (y0 < 0).any():
         raise ValueError("generator labels must all be known (1..K)")
-    u, v = _sample_blockwise(y0, np.asarray(B, dtype=np.float64), theta, rng)
-    return EdgeList(u, v, np.ones(len(u)), n=labels.n, directed=False)
-
-
-def sample_sbm(labels: LabelVector, B, rng=None) -> EdgeList:
-    """One undirected SBM graph: edge i<j present w.p. B[y_i, y_j], no loops."""
-    return _sample_edges(labels, B, None, np.random.default_rng(rng))
-
-
-def sample_dcsbm(labels: LabelVector, B, theta, rng=None) -> EdgeList:
-    """Degree-corrected SBM graph: edge probability theta_i theta_j B[y_i, y_j].
-
-    ``theta`` is the shared per-vertex parameter vector for this replicate
-    (draw it once with ``DegreeLaw.sample`` and reuse for every graph).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    peak = theta.max() ** 2 * B.max()
-    if peak > 1:
-        raise ValueError(f"theta pushes edge probability to {peak:.3g} > 1")
-    return _sample_edges(labels, B, theta, np.random.default_rng(rng))
+    if theta is not None:
+        theta = np.asarray(theta, dtype=np.float64)
+        peak = theta.max(initial=0.0) ** 2 * B.max()
+        if peak > 1:
+            raise ValueError(f"theta pushes edge probability to {peak:.3g} > 1")
+    u, v = _sample_blockwise(y0, B, theta, np.random.default_rng(rng))
+    return EdgeList(u, v, n=labels.n)
 
 
 def sample_collection(spec: BlockSpec, n: int, seed):
@@ -250,8 +243,7 @@ def sample_collection(spec: BlockSpec, n: int, seed):
     theta = None
     if spec.degree_law is not None:
         theta = spec.degree_law.sample(n, np.random.default_rng(streams[1]))
-    graphs = [_sample_edges(labels, B, theta, np.random.default_rng(streams[m + 2]))
-              for m, B in enumerate(spec.blocks)]
+    graphs = [sample_graph(labels, B, theta, streams[m + 2]) for m, B in enumerate(spec.blocks)]
     return GraphCollection(tuple(graphs)), labels, theta
 
 

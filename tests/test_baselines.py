@@ -6,11 +6,11 @@ import gfee.baselines as bl
 from gfee import (
     BlockSpec,
     DenseGraph,
+    EdgeList,
     EvalProtocol,
     GraphCollection,
     best_d_error,
     cross_validate_embedding,
-    make_edgelist,
     mase_embed,
     omnibus_embed,
     omnibus_vertex_embedding,
@@ -33,10 +33,10 @@ def _ase(graph, d):
 
 def test_to_csr_matches_dense_adjacency():
     # undirected with a self-loop at 1 and the pair (0, 1) stored three times
-    loopy = make_edgelist([0, 1, 1, 2, 0, 1], [1, 1, 2, 0, 1, 0],
+    loopy = EdgeList([0, 1, 1, 2, 0, 1], [1, 1, 2, 0, 1, 0],
                           [1.0, 2.0, 3.0, 4.0, 0.5, 0.25], n=4)
-    directed = make_edgelist([0, 2, 2], [1, 0, 2], [1.0, 2.0, 3.0], n=3, directed=True)
-    empty = make_edgelist([], [], n=3)
+    directed = EdgeList([0, 2, 2], [1, 0, 2], [1.0, 2.0, 3.0], n=3, directed=True)
+    empty = EdgeList([], [], n=3)
     dense = DenseGraph(np.array([[0.0, 1.5], [-1.5, 2.0]]))
     for g in (loopy, directed, empty, dense):
         assert np.array_equal(bl._to_csr(g).toarray(), to_adjacency(g))
@@ -177,7 +177,6 @@ def test_use_single_graph_is_ase():
 def test_use_zero_graph_appended():
     rng = np.random.default_rng(10)
     g = random_graph(rng, 40, density=0.3)
-    from gfee import EdgeList
     empty = EdgeList(np.empty(0, int), np.empty(0, int), np.empty(0), n=40)
     single = use_embed(GraphCollection((g,)), 3)
     padded = use_embed(GraphCollection((g, empty)), 3)
@@ -272,7 +271,7 @@ def test_best_d_rejects_d_max_below_one():
 def test_best_d_rank_zero_raises(method):
     # an edgeless collection has no direction to sweep; omnibus and USE used to
     # return (None, None) and MASE to fail inside its second-stage SVD
-    coll = GraphCollection(tuple(make_edgelist([], [], n=40) for _ in range(2)))
+    coll = GraphCollection(tuple(EdgeList([], [], n=40) for _ in range(2)))
     y = np.tile([1, 2], 20)
     with pytest.warns(UserWarning, match="numerical rank 0"), \
             pytest.raises(ValueError, match=f"{method}: numerical rank 0"):

@@ -172,14 +172,16 @@ def test_spec_file_override(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "verify", "baseline"])
 def test_empty_n_grid_usage_error(command, capsys):
     # verify used to fail with an IndexError, simulate and baseline to print
-    # a blank table
-    args = [command, "--sim", "sim1", "--n-grid", ",", "--seed", "1"]
-    if command == "baseline":
-        args += ["--method", "gfee"]
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 2
-    assert "--n-grid" in capsys.readouterr().err
+    # a blank table; "a" used to name the private parser function
+    for grid in (",", "a"):
+        args = [command, "--sim", "sim1", "--n-grid", grid, "--seed", "1"]
+        if command == "baseline":
+            args += ["--method", "gfee"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n-grid" in err and "expected comma-separated integers" in err
 
 
 def test_verify_non_identifiable_table_parses(tmp_path):
@@ -210,6 +212,38 @@ def test_baseline_edgeless_spec_exits_2(tmp_path, capsys):
                      "--n-grid", "60", "--folds", "3", "--replicates", "1", "--seed", "6"])
     assert code == 2
     assert "omnibus: numerical rank 0" in capsys.readouterr().err
+
+
+SPEC = {"priors": [0.5, 0.5], "blocks": [[[0.3, 0.1], [0.1, 0.3]]]}
+EDGES = {"edgelist": "g1.txt"}
+
+
+@pytest.mark.parametrize("name, content", [
+    ("manifest.json", {"graphs": {"g": EDGES}, "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": ["g1.txt"], "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": [{**EDGES, "binarize": "x"}], "labels": "labels.txt"}),
+    ("manifest.json", "{not json"),
+    ("attrs.csv", "1.0,x\n"),
+    ("spec.json", {"blocks": SPEC["blocks"]}),
+    ("spec.json", [SPEC]),
+    ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": 0.1}}),
+    ("spec.json", "{not json"),
+], ids=["graphs-object", "graphs-string-entry", "binarize-string", "manifest-not-json",
+        "attributes-not-numbers", "spec-no-priors", "spec-list", "degree-law-no-b",
+        "spec-not-json"])
+def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, content):
+    bad = tiny_dataset / name
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    if name == "spec.json":
+        args = ["verify", "--spec", str(bad), "--n-grid", "50", "--seed", "1"]
+    else:
+        if name == "attrs.csv":
+            (tiny_dataset / "manifest.json").write_text(json.dumps(
+                {"graphs": [{"attributes": "attrs.csv"}], "labels": "labels.txt"}))
+        args = ["embed", "--manifest", str(tiny_dataset / "manifest.json"),
+                "--out", str(tiny_dataset / "x.csv")]
+    assert main(args) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_evaluate_manifest_without_labels_exits_2(tmp_path, capsys):

@@ -16,7 +16,6 @@ from gfee import (
     export_csv,
     fuse,
     load_binary,
-    make_edgelist,
     to_adjacency,
 )
 
@@ -53,7 +52,7 @@ def test_encoder_columns_sum_to_one():
 
 def test_embed_graph_hand_example():
     # n=3, edges {(1,2,1),(1,3,1)}, y=(1,1,2): dense product A @ W by hand
-    e = make_edgelist([0, 0], [1, 2], n=3)
+    e = EdgeList([0, 0], [1, 2], n=3)
     y = as_labels([1, 1, 2])
     W = build_encoder(y)
     pre = adjacency_product(e, W)
@@ -64,7 +63,7 @@ def test_embed_graph_hand_example():
 
 
 def test_embed_empty_graph_is_zero():
-    e = make_edgelist(np.empty(0, int), np.empty(0, int), np.empty(0), n=4)
+    e = EdgeList(np.empty(0, int), np.empty(0, int), np.empty(0), n=4)
     y = as_labels([1, 2, 1, 2])
     Z = embed_graph(e, build_encoder(y))
     assert np.array_equal(Z, np.zeros((4, 2)))
@@ -72,13 +71,13 @@ def test_embed_empty_graph_is_zero():
 
 def test_embed_zero_encoder_is_zero():
     # with an all-zero W (every label unknown) the product is identically zero
-    e = make_edgelist([0, 1], [1, 2], n=3)
+    e = EdgeList([0, 1], [1, 2], n=3)
     Z = embed_graph(e, np.zeros((3, 2)))
     assert np.array_equal(Z, np.zeros((3, 2)))
 
 
 def test_zero_degree_row_stays_zero():
-    e = make_edgelist([0], [1], n=3)  # vertex 2 isolated
+    e = EdgeList([0], [1], n=3)  # vertex 2 isolated
     y = as_labels([1, 2, 1])
     Z = embed_graph(e, build_encoder(y))
     assert np.array_equal(Z[2], [0.0, 0.0])
@@ -106,7 +105,7 @@ def test_permutation_equivariance():
     e = random_graph(rng, n)
     y = random_labels(rng, n, 3)
     perm = rng.permutation(n)
-    e2 = make_edgelist(perm[e.u], perm[e.v], e.w, n=n)
+    e2 = EdgeList(perm[e.u], perm[e.v], e.w, n=n)
     y2 = np.zeros(n, dtype=int)
     y2[perm] = y.y
     Z = embed_graph(e, build_encoder(y))
@@ -130,7 +129,7 @@ def test_edge_order_does_not_matter():
     y = random_labels(rng, 40, 4)
     W = build_encoder(y)
     order = rng.permutation(e.num_edges)
-    shuffled = make_edgelist(e.u[order], e.v[order], e.w[order], n=e.n)
+    shuffled = EdgeList(e.u[order], e.v[order], e.w[order], n=e.n)
     assert np.allclose(embed_graph(e, W), embed_graph(shuffled, W), atol=1e-9)
 
 
@@ -232,7 +231,7 @@ def test_dense_graph_path_matches_edgelist():
 
 
 def test_directed_embedding_uses_source_rows_only():
-    e = make_edgelist([0], [1], n=2, directed=True)
+    e = EdgeList([0], [1], n=2, directed=True)
     y = as_labels([2, 1])
     Z = adjacency_product(e, build_encoder(y))
     assert np.array_equal(Z, [[1.0, 0.0], [0.0, 0.0]])  # only u gets neighbor v

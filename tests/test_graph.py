@@ -8,7 +8,6 @@ from gfee import (
     LabelVector,
     as_labels,
     from_adjacency,
-    make_edgelist,
     read_edgelist,
     read_labels,
     to_adjacency,
@@ -18,16 +17,16 @@ from gfee import (
 
 
 def test_validate_well_formed():
-    g1 = make_edgelist([0, 1], [1, 2], n=5)
-    g2 = make_edgelist([3], [4], n=5)
+    g1 = EdgeList([0, 1], [1, 2], n=5)
+    g2 = EdgeList([3], [4], n=5)
     assert validate_collection(GraphCollection((g1, g2)), as_labels([1, 2, 1, 2, 0])) == []
 
 
 def test_validate_vertex_count_mismatch():
     # a collection checks its graphs when it is built, so no collection with
     # unequal vertex counts (or no graphs) reaches validate_collection or fuse
-    g1 = make_edgelist([0], [1], n=5)
-    g2 = make_edgelist([0], [1], n=6)
+    g1 = EdgeList([0], [1], n=5)
+    g2 = EdgeList([0], [1], n=6)
     with pytest.raises(ValueError, match="vertex-count mismatch: graph 2 has n=6"):
         GraphCollection((g1, g2))
     with pytest.raises(ValueError, match="collection has no graphs"):
@@ -37,25 +36,25 @@ def test_validate_vertex_count_mismatch():
 
 
 def test_validate_label_length():
-    g = make_edgelist([0], [1], n=3)
+    g = EdgeList([0], [1], n=3)
     violations = validate_collection(GraphCollection((g,)), as_labels([1, 2]))
     assert violations == ["label length 2 does not match vertex count 3"]
 
 
 def test_validate_no_training_labels():
-    g = make_edgelist([0], [1], n=2)
+    g = EdgeList([0], [1], n=2)
     violations = validate_collection(GraphCollection((g,)), as_labels([0, 0], K=1))
     assert any("no training labels" in v for v in violations)
 
 
 def test_validate_empty_class():
-    g = make_edgelist([0, 2], [1, 3], n=4)
+    g = EdgeList([0, 2], [1, 3], n=4)
     violations = validate_collection(GraphCollection((g,)), as_labels([1, 1, 1, 0], K=2))
     assert violations == ["empty class 2"]
 
 
 def test_validate_is_pure():
-    g = make_edgelist([0], [1], n=3)
+    g = EdgeList([0], [1], n=3)
     coll, y = GraphCollection((g,)), as_labels([1, 0, 1])
     assert validate_collection(coll, y) == validate_collection(coll, y)
 
@@ -86,7 +85,7 @@ def test_label_vector_rejects_bad_labels(y, K, match):
 def test_whole_float_indices_and_labels_accepted():
     e = EdgeList([0.0, 1.0], [1.0, 2.0], [1.0, 1.0], n=3)
     assert e.u.dtype.kind == "i" and list(e.u) == [0, 1] and list(e.v) == [1, 2]
-    assert list(make_edgelist([2.0], [0.0], n=3).u) == [2]
+    assert list(EdgeList([2.0], [0.0], n=3).u) == [2]
     assert list(as_labels([1.0, 2.0, 0.0]).y) == [1, 2, 0]
 
 
@@ -94,7 +93,7 @@ def test_fractional_indices_and_labels_rejected_by_builders():
     with pytest.raises(ValueError, match="whole numbers"):
         as_labels([1.7, 2.2, 0.4])
     with pytest.raises(ValueError, match="whole numbers"):
-        make_edgelist([0.5], [1], n=3)
+        EdgeList([0.5], [1], n=3)
 
 
 def test_dense_graph_rejects_non_finite():
@@ -103,7 +102,7 @@ def test_dense_graph_rejects_non_finite():
 
 
 def test_to_adjacency_single_edge_symmetric():
-    e = make_edgelist([0], [1], [1.0], n=2)
+    e = EdgeList([0], [1], [1.0], n=2)
     assert np.array_equal(to_adjacency(e), [[0, 1], [1, 0]])
 
 
@@ -113,7 +112,7 @@ def test_to_adjacency_empty():
 
 
 def test_to_adjacency_weights():
-    e = make_edgelist([0, 1], [1, 2], [0.5, 2.0], n=3)
+    e = EdgeList([0, 1], [1, 2], [0.5, 2.0], n=3)
     A = to_adjacency(e)
     expect = np.zeros((3, 3))
     expect[0, 1] = expect[1, 0] = 0.5
@@ -122,13 +121,13 @@ def test_to_adjacency_weights():
 
 
 def test_to_adjacency_directed_and_duplicates():
-    e = make_edgelist([0, 0], [1, 1], [1.0, 2.0], n=2, directed=True)
+    e = EdgeList([0, 0], [1, 1], [1.0, 2.0], n=2, directed=True)
     A = to_adjacency(e)
     assert A[0, 1] == 3.0 and A[1, 0] == 0.0  # duplicates summed
 
 
 def test_self_loop_counted_once():
-    e = make_edgelist([1], [1], [5.0], n=2)
+    e = EdgeList([1], [1], [5.0], n=2)
     assert to_adjacency(e)[1, 1] == 5.0
 
 
@@ -140,17 +139,33 @@ def test_adjacency_round_trip():
     assert np.allclose(to_adjacency(e), A)
 
 
-def test_simple_drops_self_loops_with_warning():
+def test_simple_drops_self_loops_with_warning(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("1 1\n2 3\n")
     with pytest.warns(UserWarning, match="self-loop"):
-        e = make_edgelist([0, 1], [0, 2], n=3, simple=True)
+        e = read_edgelist(p, n=3, simple=True)
     assert e.num_edges == 1
     assert e.u[0] == 1 and e.v[0] == 2
 
 
 def test_edgelist_immutable():
-    e = make_edgelist([0], [1], n=2)
+    e = EdgeList([0], [1], n=2)
     with pytest.raises(ValueError):
         e.u[0] = 5
+
+
+def test_input_arrays_kept_not_copied():
+    # stated contract: an ndarray that needs no conversion is stored as it is
+    # and becomes read-only; converted input is stored read-only as well
+    u, w = np.array([0, 1], dtype=np.int64), np.array([0.5, 2.0])
+    e = EdgeList(u, [1, 2], w, n=3)
+    assert e.u is u and e.w is w and not u.flags.writeable and not w.flags.writeable
+    assert not e.v.flags.writeable
+    y = np.array([1, 2, 0], dtype=np.int64)
+    assert LabelVector(y, 2).y is y and not y.flags.writeable
+    assert not LabelVector([1, 2, 0], 2).y.flags.writeable
+    m = np.eye(2)
+    assert DenseGraph(m).matrix is m and not m.flags.writeable
 
 
 def test_read_edgelist_formats(tmp_path):
@@ -183,7 +198,7 @@ def test_read_edgelist_errors_name_file_and_line(tmp_path, text, match):
 
 
 def test_edgelist_file_round_trip(tmp_path):
-    e = make_edgelist([0, 2], [1, 3], [1.25, 0.5], n=4)
+    e = EdgeList([0, 2], [1, 3], [1.25, 0.5], n=4)
     write_edgelist(e, tmp_path / "g.txt")
     back = read_edgelist(tmp_path / "g.txt", n=4)
     assert np.array_equal(back.u, e.u) and np.array_equal(back.v, e.v)
@@ -210,7 +225,7 @@ def test_read_labels_errors_name_file(tmp_path, text, match):
 
 
 def test_collection_subset():
-    gs = [make_edgelist([0], [1], [float(i)], n=3) for i in range(3)]
+    gs = [EdgeList([0], [1], [float(i)], n=3) for i in range(3)]
     coll = GraphCollection(tuple(gs))
     sub = coll.subset([2, 0])
     assert sub.M == 2

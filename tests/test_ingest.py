@@ -15,7 +15,6 @@ from gfee import (
     from_adjacency,
     intersect_vertices,
     load_manifest,
-    make_edgelist,
     read_attributes,
 )
 
@@ -77,7 +76,7 @@ def test_dense_fast_path_matches_edgelist_embedding():
 
 
 def test_binarize():
-    e = make_edgelist([0, 1, 2], [1, 2, 3], [0.5, 2.0, 0.0], n=4)
+    e = EdgeList([0, 1, 2], [1, 2, 3], [0.5, 2.0, 0.0], n=4)
     b = binarize(e, 0.0)
     assert b.num_edges == 2
     assert np.all(b.w == 1.0)
@@ -90,7 +89,7 @@ def test_binarize():
 
 def test_binarize_idempotent():
     rng = np.random.default_rng(2)
-    e = make_edgelist(rng.integers(0, 10, 30), rng.integers(0, 10, 30),
+    e = EdgeList(rng.integers(0, 10, 30), rng.integers(0, 10, 30),
                       rng.uniform(-1, 3, 30), n=10)
     once = binarize(e, 0.5)
     twice = binarize(once, 0.5)
@@ -99,21 +98,21 @@ def test_binarize_idempotent():
 
 
 def test_intersect_identical_ids():
-    g = make_edgelist([0], [1], n=3)
+    g = EdgeList([0], [1], n=3)
     coll, ids, removed = intersect_vertices([g, g], [[1, 2, 3], [1, 2, 3]])
     assert list(ids) == [1, 2, 3]
     assert sum(len(r) for r in removed) == 0
 
 
 def test_intersect_disjoint_errors():
-    g = make_edgelist([0], [1], n=2)
+    g = EdgeList([0], [1], n=2)
     with pytest.raises(ValueError, match="empty"):
         intersect_vertices([g, g], [[1, 2], [3, 4]])
 
 
 def test_intersect_overlapping_sets():
-    g1 = make_edgelist([0, 2, 3], [1, 3, 4], n=5)  # ids 1..5
-    g2 = make_edgelist([0, 1], [2, 4], n=5)        # ids 3..7
+    g1 = EdgeList([0, 2, 3], [1, 3, 4], n=5)  # ids 1..5
+    g2 = EdgeList([0, 1], [2, 4], n=5)        # ids 3..7
     coll, ids, removed = intersect_vertices([g1, g2], [[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]])
     assert list(ids) == [3, 4, 5]
     assert sum(len(r) for r in removed) == 4
@@ -127,7 +126,7 @@ def test_intersect_overlapping_sets():
 def test_intersect_edge_survival_exact():
     rng = np.random.default_rng(3)
     n = 12
-    g = make_edgelist(rng.integers(0, n, 40), rng.integers(0, n, 40), n=n)
+    g = EdgeList(rng.integers(0, n, 40), rng.integers(0, n, 40), n=n)
     ids = list(range(n))
     keep = set(range(0, n, 2))
     coll, common, _ = intersect_vertices([g, g], [ids, [i if i in keep else i + 100 for i in ids]])
@@ -260,7 +259,7 @@ def test_manifest_attributes_with_ids(tmp_path):
     collection, labels = load_manifest(tmp_path / "manifest.json")
     assert collection.n == 5  # id f has no edgelist vertex
     # reference: the same similarity graph as an edgelist, intersected edge by edge
-    g1 = make_edgelist([0, 1, 2, 3], [1, 2, 3, 4], n=5)
+    g1 = EdgeList([0, 1, 2, 3], [1, 2, 3, 4], n=5)
     edges = from_adjacency(attributes_to_similarity_matrix(X, "cosine").matrix)
     ref, _, _ = intersect_vertices([g1, edges], [list("abcde"), list("fedcba")])
     W = build_encoder(labels)

@@ -13,9 +13,8 @@ from gfee import (
     named_spec,
     normalized_blocks,
     sample_collection,
-    sample_dcsbm,
+    sample_graph,
     sample_labels,
-    sample_sbm,
     to_adjacency,
 )
 from gfee.sbm import _bernoulli_indices, _unrank_triu
@@ -32,7 +31,7 @@ def test_named_specs():
         expect[j, j] = 0.2
         assert np.array_equal(B, expect)
     s2 = named_spec("sim2")
-    assert s2.degree_law == DegreeLaw("uniform", 0.1, 0.5)
+    assert s2.degree_law == DegreeLaw(0.1, 0.5)
     s3 = named_spec("sim3")
     assert s3.M == 6
     assert np.array_equal(s3.blocks[0], np.full((4, 4), 0.1) + 0.1 * np.eye(4))
@@ -49,7 +48,7 @@ def test_blockspec_validation():
     with pytest.raises(ValueError, match="outside"):
         BlockSpec(priors=[0.5, 0.5], blocks=[[[0.1, 1.2], [1.2, 0.1]]])
     with pytest.raises(ValueError, match="> 1"):
-        BlockSpec(priors=[1.0], blocks=[[[0.2]]], degree_law=DegreeLaw("uniform", 1.0, 3.0))
+        BlockSpec(priors=[1.0], blocks=[[[0.2]]], degree_law=DegreeLaw(1.0, 3.0))
 
 
 def test_blockspec_json_round_trip():
@@ -59,6 +58,16 @@ def test_blockspec_json_round_trip():
     assert back.hash() == spec.hash()
     obj = json.loads(spec.to_json())
     assert obj["K"] == 4 and obj["degree_law"]["kind"] == "uniform"
+
+
+def test_spec_hashes_pinned():
+    # spec_hash is a provenance column of every table row; it must not drift
+    hashes = {name: named_spec(name).hash() for name in ("sim1", "sim2", "sim3")}
+    assert hashes == {"sim1": "3303fcf4be56", "sim2": "cc78d96f885e", "sim3": "aa340a25b7b8"}
+    obj = json.loads(named_spec("sim2").to_json())
+    obj["degree_law"]["kind"] = "gamma"
+    with pytest.raises(ValueError, match="uniform"):
+        BlockSpec.from_json(json.dumps(obj))
 
 
 def test_sample_labels_single_class():
@@ -79,17 +88,17 @@ def test_sample_labels_sim1_priors():
         assert abs((y.y == k).mean() - pi) < 0.01
 
 
-def test_sample_sbm_complete_and_empty():
+def test_sample_graph_complete_and_empty():
     y = sample_labels(40, [1.0], 3)
-    full = sample_sbm(y, [[1.0]], 4)
+    full = sample_graph(y, [[1.0]], rng=4)
     assert full.num_edges == 40 * 39 // 2
-    empty = sample_sbm(y, [[0.0]], 5)
+    empty = sample_graph(y, [[0.0]], rng=5)
     assert empty.num_edges == 0
 
 
-def test_sample_sbm_zero_diagonal_symmetric_once():
+def test_sample_graph_zero_diagonal_symmetric_once():
     y = sample_labels(100, [0.6, 0.4], 6)
-    e = sample_sbm(y, [[0.3, 0.1], [0.1, 0.3]], 7)
+    e = sample_graph(y, [[0.3, 0.1], [0.1, 0.3]], rng=7)
     assert np.all(e.u != e.v)
     A = to_adjacency(e)
     assert np.array_equal(A, A.T)
@@ -98,10 +107,10 @@ def test_sample_sbm_zero_diagonal_symmetric_once():
     assert np.all(e.u < e.v)
 
 
-def test_sample_sbm_sim1_densities():
+def test_sample_graph_sim1_densities():
     spec = named_spec("sim1")
     y = sample_labels(4000, spec.priors, 8)
-    e = sample_sbm(y, spec.blocks[0], 9)
+    e = sample_graph(y, spec.blocks[0], rng=9)
     assert abs(empirical_block_density(e, y.y, 1, 1) - 0.2) < 0.01
     assert abs(empirical_block_density(e, y.y, 1, 2) - 0.1) < 0.005
     assert abs(empirical_block_density(e, y.y, 2, 3) - 0.1) < 0.005
@@ -110,8 +119,8 @@ def test_sample_sbm_sim1_densities():
 def test_dcsbm_unit_theta_reduces_to_sbm():
     y = sample_labels(800, [0.5, 0.5], 10)
     B = [[0.25, 0.05], [0.05, 0.25]]
-    e_sbm = sample_sbm(y, B, 11)
-    e_dc = sample_dcsbm(y, B, np.ones(800), 11)
+    e_sbm = sample_graph(y, B, rng=11)
+    e_dc = sample_graph(y, B, np.ones(800), 11)
     # same rng stream and theta == 1: identical draws on the pairwise path
     assert np.array_equal(e_sbm.u, e_dc.u) and np.array_equal(e_sbm.v, e_dc.v)
 
@@ -119,7 +128,7 @@ def test_dcsbm_unit_theta_reduces_to_sbm():
 def test_dcsbm_expected_density():
     y = sample_labels(4000, [1.0], 12)
     theta = np.random.default_rng(13).uniform(0.1, 0.5, 4000)
-    e = sample_dcsbm(y, [[0.2]], theta, 14)
+    e = sample_graph(y, [[0.2]], theta, 14)
     density = e.num_edges / (4000 * 3999 / 2)
     assert abs(density - 0.018) < 0.002  # E[theta]^2 * 0.2
 
@@ -132,7 +141,7 @@ def test_dcsbm_low_theta_vertex_degree_ratio():
     theta[0] = 0.1
     deg0, degrest = 0.0, 0.0
     for rep in range(10):
-        e = sample_dcsbm(y, [[0.5]], theta, rng)
+        e = sample_graph(y, [[0.5]], theta, rng)
         deg = np.bincount(np.concatenate([e.u, e.v]), minlength=n)
         deg0 += deg[0]
         degrest += deg[1:].mean()
@@ -142,7 +151,7 @@ def test_dcsbm_low_theta_vertex_degree_ratio():
 def test_dcsbm_probability_overflow():
     y = sample_labels(10, [1.0], 17)
     with pytest.raises(ValueError, match="> 1"):
-        sample_dcsbm(y, [[0.5]], np.full(10, 2.0), 18)
+        sample_graph(y, [[0.5]], np.full(10, 2.0), 18)
 
 
 def test_unrank_triu_matches_enumeration():
@@ -166,7 +175,7 @@ def test_samplers_agree_in_distribution():
     spec = named_spec("sim1")
     y = sample_labels(1500, spec.priors, 1)
     u1, v1 = sample_pairwise(y, spec.blocks[0], None, 2)
-    e2 = sample_sbm(y, spec.blocks[0], 3)
+    e2 = sample_graph(y, spec.blocks[0], rng=3)
     d1 = np.bincount(np.concatenate([u1, v1]), minlength=1500)
     d2 = np.bincount(np.concatenate([e2.u, e2.v]), minlength=1500)
     assert stats.ks_2samp(d1, d2).pvalue > 0.001
@@ -178,7 +187,7 @@ def test_samplers_agree_degree_corrected():
     y = sample_labels(1500, spec.priors, 1)
     theta = np.random.default_rng(5).uniform(0.1, 0.5, 1500)
     u1, v1 = sample_pairwise(y, spec.blocks[0], theta, 4)
-    e2 = sample_dcsbm(y, spec.blocks[0], theta, 5)
+    e2 = sample_graph(y, spec.blocks[0], theta, 5)
     d1 = np.bincount(np.concatenate([u1, v1]), minlength=1500)
     d2 = np.bincount(np.concatenate([e2.u, e2.v]), minlength=1500)
     assert stats.ks_2samp(d1, d2).pvalue > 0.001
