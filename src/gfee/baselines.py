@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .classify import EvalProtocol, cross_validate_embedding
 from .graph import GraphCollection, LabelVector, adjacency_terms
@@ -66,7 +65,7 @@ def top_eigenpairs(A, d: int):
         vals, vecs = np.linalg.eigh(A)
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals, vecs = spla.eigsh(A, k=d, which="LM", v0=v0)
+        vals, vecs = sp.linalg.eigsh(A, k=d, which="LM", v0=v0)
     order = np.argsort(-np.abs(vals), kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     d = _truncate_rank(vals, d, "eigendecomposition")
@@ -86,7 +85,7 @@ def truncated_svd(X, d: int):
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     else:
         v0 = np.full(min(n, m), 1.0 / np.sqrt(min(n, m)))
-        U, s, Vt = spla.svds(X, k=d, v0=v0)
+        U, s, Vt = sp.linalg.svds(X, k=d, v0=v0)
         order = np.argsort(-s)
         U, s, Vt = U[:, order], s[order], Vt[order]
     d = _truncate_rank(s, d, "SVD")
@@ -110,7 +109,7 @@ def _omnibus_operator(As):
         out = 0.5 * (np.stack([A @ s for A in As]) + t[None, :])
         return out.ravel()
 
-    return spla.LinearOperator((M * n, M * n), matvec=matvec, dtype=np.float64)
+    return sp.linalg.LinearOperator((M * n, M * n), matvec=matvec, dtype=np.float64)
 
 
 def omnibus_embed(collection: GraphCollection, d: int) -> np.ndarray:

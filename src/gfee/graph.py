@@ -6,6 +6,7 @@ Vertices are 0-based inside the library; edgelist *files* are 1-based
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
@@ -217,13 +218,54 @@ def from_adjacency(A: np.ndarray, *, directed: bool = False) -> EdgeList:
     return EdgeList(u, v, A[u, v], n=A.shape[0], directed=directed)
 
 
-def read_edgelist(path, *, n: int | None = None, directed: bool = False,
-                  simple: bool = False) -> EdgeList:
-    """Load a 1-based text edgelist: "u v [w]", '#' comments ignored.
+_EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),
+              3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])}
+_LABEL_ROWS = {1: np.dtype([("y", np.int64)])}
 
-    Separator may be whitespace or commas. n defaults to the largest index
-    seen. ``simple`` drops self-loops with a warning.
+
+def _loadtxt_columns(path, rows: dict, commas: bool) -> list | None:
+    """The columns of a text file parsed by one np.loadtxt pass, or None when
+    only the line loop reads it the same way.
+
+    ``rows`` maps the field count of the first data line to the row dtype.
+    None comes back for a file with no data line, a first data line of any
+    other field count, or any file loadtxt rejects: lines whose field count
+    changes, fields such as ``1_000`` that int() reads and loadtxt does not,
+    or undecodable bytes. Warnings count as rejections, so no numpy version
+    reads "1.0" into an int column with a deprecation warning.
     """
+    try:
+        with open(path) as fh:
+            lines = (line.replace(",", " ") for line in fh) if commas else fh
+            head, fields = [], []
+            for line in lines:
+                head.append(line)
+                if fields := line.split("#", 1)[0].split():
+                    break
+            if len(fields) not in rows:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(itertools.chain(head, lines), dtype=rows[len(fields)],
+                                   comments="#", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+
+
+def _int64(values: list, what: str, path) -> np.ndarray:
+    """int64 array of parsed ints; one that does not fit is named in a ValueError."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        big = next(x for x in values if not info.min <= x <= info.max)
+        raise ValueError(f"{path}: {what} {big} does not fit in 64 bits") from None
+
+
+def _edge_lines(path) -> list:
+    """u, v, w of an edgelist file, parsed line by line: the reader of the
+    files loadtxt does not read, and the one that names the line at fault."""
     us, vs, ws = [], [], []
     lineno = 0
     with open(path) as fh:
@@ -240,15 +282,25 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
                 ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    u = np.asarray(us, dtype=np.int64) - 1
-    v = np.asarray(vs, dtype=np.int64) - 1
-    w = np.asarray(ws)
-    if len(u) and min(u.min(), v.min()) < 0:
+    return [_int64(us, "vertex index", path), _int64(vs, "vertex index", path), np.asarray(ws)]
+
+
+def read_edgelist(path, *, n: int | None = None, directed: bool = False,
+                  simple: bool = False) -> EdgeList:
+    """Load a 1-based text edgelist: "u v [w]", '#' comments ignored.
+
+    Separator may be whitespace or commas. n defaults to the largest index
+    seen. ``simple`` drops self-loops with a warning.
+    """
+    columns = _loadtxt_columns(path, _EDGE_ROWS, commas=True) or _edge_lines(path)
+    u, v = columns[:2]
+    if len(u) and min(u.min(), v.min()) < 1:
         raise ValueError(f"{path}: vertex indices must be >= 1")
+    u, v = u - 1, v - 1
     if n is None:
         n = int(max(u.max(), v.max())) + 1 if len(u) else 0
     try:
-        e = EdgeList(u, v, w, n=n, directed=directed)
+        e = EdgeList(u, v, *columns[2:], n=n, directed=directed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if simple and (loops := e.u == e.v).any():
@@ -265,8 +317,8 @@ def write_edgelist(e: EdgeList, path) -> None:
             fh.write(f"{u + 1} {v + 1} {float(w)!r}\n")
 
 
-def read_labels(path) -> LabelVector:
-    """Load a label file: one integer per line, line i = label of vertex i."""
+def _label_lines(path) -> np.ndarray:
+    """Labels parsed line by line; see _edge_lines."""
     vals = []
     lineno = 0
     with open(path) as fh:
@@ -277,8 +329,15 @@ def read_labels(path) -> LabelVector:
                     vals.append(int(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return _int64(vals, "label", path)
+
+
+def read_labels(path) -> LabelVector:
+    """Load a label file: one integer per line, line i = label of vertex i."""
+    columns = _loadtxt_columns(path, _LABEL_ROWS, commas=False)
+    y = columns[0] if columns else _label_lines(path)
     try:
-        return as_labels(np.asarray(vals, dtype=np.int64))
+        return as_labels(y)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -171,7 +171,7 @@ def load_manifest(path):
     with_ids = [ids is not None for ids in id_lists]
     if any(with_ids):
         if not all(with_ids):
-            raise ValueError("either every graph carries ids or none does")
+            raise ValueError(f"{path}: either every graph carries ids or none does")
         collection, common, _ = intersect_vertices(graphs, id_lists)
     else:
         collection, common = GraphCollection(tuple(graphs)), None
@@ -179,14 +179,14 @@ def load_manifest(path):
     labels = read_labels(base / spec["labels"])
     if common is not None:
         if "label_ids" not in spec:
-            raise ValueError("label_ids required when graphs carry ids")
+            raise ValueError(f"{path}: label_ids required when graphs carry ids")
         label_ids = read_vertex_ids(base / spec["label_ids"])
         if len(label_ids) != labels.n:
-            raise ValueError("label_ids length does not match labels")
+            raise ValueError(f"{path}: label_ids length does not match labels")
         by_id = dict(zip(label_ids, labels.y))
         try:
             y = np.array([by_id[vid] for vid in common], dtype=np.int64)
         except KeyError as exc:
-            raise ValueError(f"no label for vertex id {exc.args[0]!r}") from None
+            raise ValueError(f"{path}: no label for vertex id {exc.args[0]!r}") from None
         labels = as_labels(y, labels.K)
     return collection, labels

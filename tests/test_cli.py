@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gfee
 from gfee import load_binary
 from gfee.cli import main
 
@@ -252,3 +257,43 @@ def test_evaluate_manifest_without_labels_exits_2(tmp_path, capsys):
     code = main(["evaluate", "--manifest", str(tmp_path / "manifest.json"), "--seed", "1"])
     assert code == 2
     assert "no 'labels' key" in capsys.readouterr().err
+
+
+IDS = {"edgelist": "g1.txt", "ids": "ids.txt"}
+
+
+@pytest.mark.parametrize("manifest, label_ids, message", [
+    ({"graphs": [IDS, EDGES]}, None, "either every graph carries ids or none does"),
+    ({"graphs": [IDS, {**IDS, "edgelist": "g2.txt"}]}, None,
+     "label_ids required when graphs carry ids"),
+    ({"graphs": [IDS], "label_ids": "label_ids.txt"}, "a\nb\nc\n",
+     "label_ids length does not match labels"),
+    ({"graphs": [IDS], "label_ids": "label_ids.txt"}, "a\nb\nc\ne\n",
+     "no label for vertex id 'd'"),
+], ids=["ids-on-some-graphs", "no-label-ids", "label-ids-length", "unlabeled-id"])
+def test_manifest_id_errors_exit_2_and_name_it(tiny_dataset, capsys, manifest, label_ids,
+                                               message):
+    (tiny_dataset / "ids.txt").write_text("a\nb\nc\nd\n")
+    if label_ids is not None:
+        (tiny_dataset / "label_ids.txt").write_text(label_ids)
+    path = tiny_dataset / "manifest.json"
+    path.write_text(json.dumps({**manifest, "labels": "labels.txt"}))
+    code = main(["embed", "--manifest", str(path), "--out", str(tiny_dataset / "x.csv")])
+    assert code == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_embed_index_overflow_exits_2_and_names_file(tiny_dataset, capsys):
+    (tiny_dataset / "g1.txt").write_text("1 2\n99999999999999999999 2 1\n")
+    code = main(["embed", "--graphs", str(tiny_dataset / "g1.txt"),
+                 "--labels", str(tiny_dataset / "labels.txt"),
+                 "--out", str(tiny_dataset / "x.csv")])
+    assert code == 2
+    assert f"{tiny_dataset / 'g1.txt'}: vertex index 99999999999999999999" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # scipy.sparse loads linalg on first use, so only a decomposition pays for it
+    code = "import sys, gfee.cli; assert 'scipy.sparse.linalg' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(gfee.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,6 +1,11 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gfee import graph
 from gfee import (
     DenseGraph,
     EdgeList,
@@ -189,7 +194,10 @@ def test_read_edgelist_rejects_zero_index(tmp_path):
     ("1 2\n2 x\n", r"g\.txt:2: invalid literal for int\(\)"),
     ("# w\n1 2 0.5\n\n2 3 heavy\n", r"g\.txt:4: could not convert string to float"),
     ("1 2\n1 2 3 4\n", r"g\.txt:2: expected 'u v \[w\]'"),
-], ids=["bad-index", "bad-weight", "field-count"])
+    ("1 2\n99999999999999999999 2 1\n",
+     r"g\.txt: vertex index 99999999999999999999 does not fit in 64 bits"),
+    ("-9223372036854775808 1\n", r"g\.txt: vertex indices must be >= 1"),  # would wrap to 2**63 - 1
+], ids=["bad-index", "bad-weight", "field-count", "index-overflow", "int64-min-index"])
 def test_read_edgelist_errors_name_file_and_line(tmp_path, text, match):
     p = tmp_path / "g.txt"
     p.write_text(text)
@@ -216,12 +224,113 @@ def test_read_labels(tmp_path):
 @pytest.mark.parametrize("text, match", [
     ("1\n1.5\n", r"y\.txt:2: invalid literal for int\(\)"),
     ("1\n-1\n2\n", r"y\.txt: label outside 0\.\.2"),
-], ids=["non-integer", "negative"])
+    ("1\n99999999999999999999\n", r"y\.txt: label 99999999999999999999 does not fit in 64 bits"),
+], ids=["non-integer", "negative", "overflow"])
 def test_read_labels_errors_name_file(tmp_path, text, match):
     p = tmp_path / "y.txt"
     p.write_text(text)
     with pytest.raises(ValueError, match=match):
         read_labels(p)
+
+
+# Tokens for generated files. The first four of each list are read alike by
+# both parsers; the rest are read by loadtxt and int()/float() alike, by
+# neither, or by int()/float() alone (1_000, the Arabic-Indic digit one).
+_INDEX_TOKENS = ["1", "2", "3", "12", "+2", "007", "0", "-1", "1.0", "1e3", "1_000", "\u0661", "x",
+                 "99999999999999999999"]
+_LABEL_TOKENS = ["1", "2", "0", "5", "+2", "007", "-1", "1.0", "1e3", "1_000", "\u0661", "x",
+                 "99999999999999999999"]
+_WEIGHT_TOKENS = ["1", "0.5", "-2.25", "1.0", "1e3", ".5", "+7", "1_000", "inf", "nan", "x"]
+_GAPS = [" ", "\t", "  ", ",", ", ", " ,\t", "\x0c"]
+
+
+@st.composite
+def _text_files(draw, fields, tokens):
+    """Files of data lines (mostly with ``fields`` fields), blank lines and
+    '#' comments; most tokens are ones both parsers read."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["data"] * 4 + ["blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# 1 2", "  #x"])))
+        else:
+            count = draw(st.sampled_from(fields))
+            line = draw(st.sampled_from(["", " ", "\t"]))
+            for i in range(count):
+                pool = tokens[min(i, len(tokens) - 1)]
+                good = draw(st.integers(0, 4)) > 0
+                line += draw(st.sampled_from(pool[:4] if good else pool))
+                line += draw(st.sampled_from(_GAPS)) if i < count - 1 else ""
+            line += draw(st.sampled_from(["", " ", " # note", "#"]))
+            lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _by_line_loop(read, path):
+    with mock.patch.object(graph, "_loadtxt_columns", return_value=None):
+        return _outcome(read, path)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_text_files([2, 2, 3, 3, 1, 4], [_INDEX_TOKENS, _INDEX_TOKENS, _WEIGHT_TOKENS]))
+def test_read_edgelist_matches_line_loop(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("edges") / "g.txt"
+    p.write_text(text)
+    got, want = _outcome(read_edgelist, p), _by_line_loop(read_edgelist, p)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.n, got.directed) == (want.n, want.directed)
+        for a, b in ((got.u, want.u), (got.v, want.v), (got.w, want.w)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_text_files([1, 1, 1, 2], [_LABEL_TOKENS]))
+def test_read_labels_matches_line_loop(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("labels") / "y.txt"
+    p.write_text(text)
+    got, want = _outcome(read_labels, p), _by_line_loop(read_labels, p)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.K == want.K and got.y.dtype == want.y.dtype and np.array_equal(got.y, want.y)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comment-only"])
+def test_files_without_data_lines_read_without_warning(tmp_path, text):
+    p = tmp_path / "f.txt"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, y = read_edgelist(p), read_labels(p)
+    assert e.num_edges == 0 and e.n == 0 and y.n == 0 and y.K == 0
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("# h\n1 2 0.5\n2,3,1\n", True),
+    ("1 2\n2 3\n", True),
+    ("1 2\n2 3 0.5\n", False),  # mixed 2- and 3-field lines
+    ("1_000 2\n", False),
+], ids=["weighted", "unweighted", "mixed", "underscore"])
+def test_loadtxt_reads_plain_files_and_leaves_the_rest(tmp_path, text, fast):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    columns = graph._loadtxt_columns(p, graph._EDGE_ROWS, commas=True)
+    assert (columns is not None) == fast
+    if fast:
+        loop = graph._edge_lines(p)
+        assert all(c.flags.c_contiguous for c in columns)
+        assert all(np.array_equal(c, l) for c, l in zip(columns, loop))
 
 
 def test_collection_subset():
