@@ -8,13 +8,10 @@ from .graph import (
     LabelVector,
     as_labels,
     class_counts,
-    from_adjacency,
     read_edgelist,
     read_labels,
     read_vertex_ids,
-    to_adjacency,
     validate_collection,
-    write_edgelist,
 )
 from .embedding import (
     build_encoder,
@@ -47,7 +44,6 @@ from .baselines import (
     best_d_error,
     mase_embed,
     omnibus_embed,
-    omnibus_vertex_embedding,
     sweep_embeddings,
     top_eigenpairs,
     truncated_svd,

@@ -123,12 +123,6 @@ def omnibus_embed(collection: GraphCollection, d: int) -> np.ndarray:
     return _scale(vecs, vals)
 
 
-def omnibus_vertex_embedding(stacked: np.ndarray, M: int) -> np.ndarray:
-    """Per-vertex representation: mean of the vertex's rows across blocks."""
-    n = stacked.shape[0] // M
-    return stacked.reshape(M, n, -1).mean(axis=0)
-
-
 def mase_embed(collection: GraphCollection, d: int, d_stage1: int = 30) -> np.ndarray:
     """Per-graph spectral bases concatenated, then re-projected to n x d.
 
@@ -161,11 +155,11 @@ def sweep_embeddings(method: str, collection: GraphCollection, d_max: int = 30):
     each of E's G equal-width column groups."""
     if method == "omnibus":
         stacked = omnibus_embed(collection, min(d_max, collection.M * collection.n))
-        return omnibus_vertex_embedding(stacked, collection.M), 1
+        return stacked.reshape(collection.M, collection.n, -1).mean(axis=0), 1
     if method == "mase":
         return mase_embed(collection, d_max), 1
     if method == "use":
-        return use_embed(collection, d_max), collection.M
+        return use_embed(collection, min(d_max, collection.n)), collection.M
     raise ValueError(f"unknown spectral method: {method!r}")
 
 

@@ -11,7 +11,6 @@ training index, exactly as a stable full sort would.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -61,9 +60,6 @@ class ErrorReport:
             "per_replicate": [float(x) for x in self.per_replicate],
             "confusion": self.confusion.astype(int).tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _knn_batch(train_X, train_y, query_X, k, K):

@@ -8,6 +8,7 @@ printed on stderr so the run can be reproduced.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -82,7 +83,7 @@ def _cmd_evaluate(args) -> int:
             raise _ValidationFailure(f"--subset indices must be in 1..{collection.M}")
         collection = collection.subset(indices)
     report = cross_validate(collection, labels, _protocol(args), jobs=args.jobs)
-    print(report.to_json())
+    print(json.dumps(report.to_dict()))
     return 0
 
 

@@ -193,31 +193,6 @@ def adjacency_terms(g) -> list:
     return [A, sp.coo_array((g.w[off], (g.v[off], g.u[off])), shape=shape)]
 
 
-def to_adjacency(e) -> np.ndarray:
-    """Densify a graph; duplicate edges are summed. Test oracle only.
-
-    Undirected edges land in both directions, self-loops on the diagonal once.
-    """
-    if isinstance(e, DenseGraph):
-        return np.array(e.matrix)
-    A = np.zeros((e.n, e.n))
-    np.add.at(A, (e.u, e.v), e.w)
-    if not e.directed:
-        off = e.u != e.v
-        np.add.at(A, (e.v[off], e.u[off]), e.w[off])
-    return A
-
-
-def from_adjacency(A: np.ndarray, *, directed: bool = False) -> EdgeList:
-    """Extract an EdgeList from a dense matrix (inverse of to_adjacency)."""
-    A = np.asarray(A)
-    if directed:
-        u, v = np.nonzero(A)
-    else:
-        u, v = np.nonzero(np.triu(A))
-    return EdgeList(u, v, A[u, v], n=A.shape[0], directed=directed)
-
-
 _EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),
               3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])}
 _LABEL_ROWS = {1: np.dtype([("y", np.int64)])}
@@ -253,7 +228,7 @@ def _loadtxt_columns(path, rows: dict, commas: bool) -> list | None:
     return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
 
 
-def _int64(values: list, what: str, path) -> np.ndarray:
+def _int64(values: Sequence[int], what: str, path) -> np.ndarray:
     """int64 array of parsed ints; one that does not fit is named in a ValueError."""
     try:
         return np.asarray(values, dtype=np.int64)
@@ -263,25 +238,32 @@ def _int64(values: list, what: str, path) -> np.ndarray:
         raise ValueError(f"{path}: {what} {big} does not fit in 64 bits") from None
 
 
-def _edge_lines(path) -> list:
-    """u, v, w of an edgelist file, parsed line by line: the reader of the
-    files loadtxt does not read, and the one that names the line at fault."""
-    us, vs, ws = [], [], []
+def _parse_lines(path, parse) -> list:
+    """parse(line) for each data line of a text file, with '#' comments and
+    blank lines skipped: the reader of the files loadtxt does not read, and
+    the one that names the line at fault."""
+    values = []
     lineno = 0
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.replace(",", " ").split()
-                if len(parts) not in (2, 3):
-                    raise ValueError(f"expected 'u v [w]', got {line!r}")
-                us.append(int(parts[0]))
-                vs.append(int(parts[1]))
-                ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
+                if line := line.split("#", 1)[0].strip():
+                    values.append(parse(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return values
+
+
+def _edge_fields(line: str) -> tuple:
+    parts = line.replace(",", " ").split()
+    if len(parts) not in (2, 3):
+        raise ValueError(f"expected 'u v [w]', got {line!r}")
+    return int(parts[0]), int(parts[1]), float(parts[2]) if len(parts) == 3 else 1.0
+
+
+def _edge_lines(path) -> list:
+    """u, v, w of an edgelist file, parsed line by line."""
+    us, vs, ws = list(zip(*_parse_lines(path, _edge_fields))) or [(), (), ()]
     return [_int64(us, "vertex index", path), _int64(vs, "vertex index", path), np.asarray(ws)]
 
 
@@ -310,32 +292,10 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     return e
 
 
-def write_edgelist(e: EdgeList, path) -> None:
-    """Write an EdgeList in the 1-based text format."""
-    with open(path, "w") as fh:
-        for u, v, w in zip(e.u, e.v, e.w):
-            fh.write(f"{u + 1} {v + 1} {float(w)!r}\n")
-
-
-def _label_lines(path) -> np.ndarray:
-    """Labels parsed line by line; see _edge_lines."""
-    vals = []
-    lineno = 0
-    with open(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    vals.append(int(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return _int64(vals, "label", path)
-
-
 def read_labels(path) -> LabelVector:
     """Load a label file: one integer per line, line i = label of vertex i."""
     columns = _loadtxt_columns(path, _LABEL_ROWS, commas=False)
-    y = columns[0] if columns else _label_lines(path)
+    y = columns[0] if columns else _int64(_parse_lines(path, int), "label", path)
     try:
         return as_labels(y)
     except ValueError as exc:

@@ -152,17 +152,21 @@ def load_manifest(path):
     graphs, id_lists = [], []
     for entry in spec["graphs"]:
         if "edgelist" in entry:
-            g = read_edgelist(base / entry["edgelist"],
-                              directed=entry.get("directed", False),
-                              simple=entry.get("simple", False))
+            flags = {key: entry.get(key, False) for key in ("directed", "simple")}
+            for key, value in flags.items():
+                if not isinstance(value, bool):
+                    raise ValueError(f"{path}: {key!r} must be true or false, got {value!r}")
+            g = read_edgelist(base / entry["edgelist"], **flags)
             if "binarize" in entry:
                 if not isinstance(entry["binarize"], (int, float)):
                     raise ValueError(f"{path}: 'binarize' must be a number, "
                                      f"got {entry['binarize']!r}")
                 g = binarize(g, entry["binarize"])
         elif "attributes" in entry:
-            X = read_attributes(base / entry["attributes"])
-            g = attributes_to_similarity_matrix(X, entry.get("metric", "cosine"))
+            metric = entry.get("metric", "cosine")
+            if metric not in ("cosine", "euclidean"):
+                raise ValueError(f"{path}: unknown metric: {metric!r}")
+            g = attributes_to_similarity_matrix(read_attributes(base / entry["attributes"]), metric)
         else:
             raise ValueError(f"{path}: manifest graph entry needs 'edgelist' or 'attributes'")
         graphs.append(g)

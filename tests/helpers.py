@@ -2,8 +2,40 @@
 
 import numpy as np
 
-from gfee import EdgeList, as_labels, to_adjacency
+from gfee import DenseGraph, EdgeList, as_labels
 from gfee.graph import adjacency_terms
+
+
+def to_adjacency(e) -> np.ndarray:
+    """Dense adjacency matrix of a graph; duplicate edges are summed.
+
+    Undirected edges land in both directions, self-loops on the diagonal once.
+    """
+    if isinstance(e, DenseGraph):
+        return np.array(e.matrix)
+    A = np.zeros((e.n, e.n))
+    np.add.at(A, (e.u, e.v), e.w)
+    if not e.directed:
+        off = e.u != e.v
+        np.add.at(A, (e.v[off], e.u[off]), e.w[off])
+    return A
+
+
+def from_adjacency(A: np.ndarray, *, directed: bool = False) -> EdgeList:
+    """Extract an EdgeList from a dense matrix (inverse of to_adjacency)."""
+    A = np.asarray(A)
+    if directed:
+        u, v = np.nonzero(A)
+    else:
+        u, v = np.nonzero(np.triu(A))
+    return EdgeList(u, v, A[u, v], n=A.shape[0], directed=directed)
+
+
+def write_edgelist(e: EdgeList, path) -> None:
+    """Write an EdgeList in the 1-based text format."""
+    with open(path, "w") as fh:
+        for u, v, w in zip(e.u, e.v, e.w):
+            fh.write(f"{u + 1} {v + 1} {float(w)!r}\n")
 
 
 def knn_batch_sort(train_X, train_y, query_X, k, K, chunk_entries=2_000_000):

@@ -218,7 +218,7 @@ def test_criterion_8_manifest_smoke():
     assert coll2.M == 2 and coll2.n == 14  # two ids dropped per graph
     report2 = cross_validate(coll2, y2, EvalProtocol(folds=4, replicates=2,
                                                      neighbor_count=3, seed=1012))
-    obj = json.loads(report.to_json())
+    obj = json.loads(json.dumps(report.to_dict()))
     ok = (0.0 <= obj["mean_error"] <= 1.0 and report.mean_error <= 0.25
           and report2.mean_error <= 0.25)
     assert _verdict(8, "manifest smoke tests", ok,

@@ -13,15 +13,14 @@ from gfee import (
     cross_validate_embedding,
     mase_embed,
     omnibus_embed,
-    omnibus_vertex_embedding,
+    named_spec,
     sample_collection,
-    to_adjacency,
     top_eigenpairs,
     truncated_svd,
     use_embed,
 )
 
-from helpers import omnibus_dense, random_graph
+from helpers import omnibus_dense, random_graph, to_adjacency
 
 TWO_BLOCK = BlockSpec(priors=[0.5, 0.5], blocks=[[[0.3, 0.05], [0.05, 0.3]]])
 
@@ -103,7 +102,6 @@ def test_omnibus_single_graph_is_ase():
     g = random_graph(rng, 50, density=0.3)
     stacked = omnibus_embed(GraphCollection((g,)), 4)
     assert np.allclose(stacked, _ase(g, 4), atol=1e-10)
-    assert np.allclose(omnibus_vertex_embedding(stacked, 1), stacked)
 
 
 def test_omnibus_identical_graphs_have_equal_blocks():
@@ -115,7 +113,7 @@ def test_omnibus_identical_graphs_have_equal_blocks():
 
 def test_omnibus_two_block_sbm_error():
     coll, y, _ = sample_collection(TWO_BLOCK, 500, 21)
-    pts = omnibus_vertex_embedding(omnibus_embed(coll, 2), 1)
+    pts = omnibus_embed(coll, 2)  # one graph: its stacked rows are the vertex rows
     report = cross_validate_embedding(pts, y, EvalProtocol(folds=5, replicates=2, seed=3))
     assert report.mean_error < 0.10
 
@@ -207,7 +205,6 @@ def test_all_methods_agree_for_single_graph():
 def test_use_fusion_beats_single_graphs_on_complementary_signal():
     # each graph separates one class; the unfolded embedding of all three
     # does far better than any single graph
-    from gfee import named_spec
     coll, y, _ = sample_collection(named_spec("sim1"), 1000, 81)
     proto = EvalProtocol(folds=5, replicates=1, seed=82)
     singles = [best_d_error("use", coll.subset([m]), y, proto, d_max=10)[1].mean_error
@@ -219,7 +216,6 @@ def test_use_fusion_beats_single_graphs_on_complementary_signal():
 def test_noise_graphs_degrade_baselines_at_small_n():
     # five label-independent graphs swamp the spectral methods once the
     # signal eigenvalues sink toward the noise bulk; the sweep cannot rescue
-    from gfee import named_spec
     coll, y, _ = sample_collection(named_spec("sim3"), 500, 101)
     proto = EvalProtocol(folds=5, replicates=1, seed=55)
     for method in ("omnibus", "mase", "use"):
@@ -247,11 +243,24 @@ def test_best_d_tie_returns_smallest():
     assert report.mean_error == 0.0
 
 
+@pytest.mark.parametrize("method", ["omnibus", "mase", "use"])
+def test_best_d_at_n_below_d_max(method):
+    # n = 20 < d_max = 30: each sweep keeps only the dimensions n allows
+    coll, y, _ = sample_collection(named_spec("sim1"), 20, 8)
+    protocol = EvalProtocol(folds=2, replicates=1, neighbor_count=1, seed=8)
+    if method == "mase":  # stage one asks each 20-vertex graph for 20 eigenvectors
+        with pytest.warns(UserWarning, match="exceeds numerical rank"):
+            d_star, _ = best_d_error(method, coll, y, protocol, d_max=30)
+    else:
+        d_star, _ = best_d_error(method, coll, y, protocol, d_max=30)
+    assert 1 <= d_star <= coll.n
+
+
 def test_sweep_prefix_matches_direct():
     rng = np.random.default_rng(13)
     coll = GraphCollection(tuple(random_graph(rng, 40, density=0.3) for _ in range(2)))
     E, G = bl.sweep_embeddings("omnibus", coll, 6)
-    direct = omnibus_vertex_embedding(omnibus_embed(coll, 3), 2)
+    direct = omnibus_embed(coll, 3).reshape(2, 40, -1).mean(axis=0)
     assert G == 1 and np.allclose(E[:, :3], direct, atol=1e-9)
     # USE: the prefix-3 representation is the first 3 columns of each graph's group
     E, G = bl.sweep_embeddings("use", coll, 6)

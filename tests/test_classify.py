@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,7 +205,7 @@ def test_cv_deterministic():
     assert a.mean_error == b.mean_error
     assert np.array_equal(a.per_replicate, b.per_replicate)
     assert np.array_equal(a.confusion, b.confusion)
-    assert a.to_json() == b.to_json()
+    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
 def test_cv_reembeds_per_fold():

@@ -17,6 +17,7 @@ def tiny_dataset(tmp_path):
     (tmp_path / "g1.txt").write_text("1 2\n2 3\n3 4\n")
     (tmp_path / "g2.txt").write_text("1 3\n2 4\n")
     (tmp_path / "labels.txt").write_text("1\n1\n2\n2\n")
+    (tmp_path / "attrs.csv").write_text("1,0\n0,1\n1,1\n2,1\n")
     return tmp_path
 
 
@@ -228,12 +229,17 @@ EDGES = {"edgelist": "g1.txt"}
     ("manifest.json", {"graphs": ["g1.txt"], "labels": "labels.txt"}),
     ("manifest.json", {"graphs": [{**EDGES, "binarize": "x"}], "labels": "labels.txt"}),
     ("manifest.json", "{not json"),
+    ("manifest.json", {"graphs": [{**EDGES, "simple": "false"}], "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": [{**EDGES, "directed": "no"}], "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": [{"attributes": "attrs.csv", "metric": "manhattan"}],
+                       "labels": "labels.txt"}),
     ("attrs.csv", "1.0,x\n"),
     ("spec.json", {"blocks": SPEC["blocks"]}),
     ("spec.json", [SPEC]),
     ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": 0.1}}),
     ("spec.json", "{not json"),
 ], ids=["graphs-object", "graphs-string-entry", "binarize-string", "manifest-not-json",
+        "simple-string", "directed-string", "unknown-metric",
         "attributes-not-numbers", "spec-no-priors", "spec-list", "degree-law-no-b",
         "spec-not-json"])
 def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, content):

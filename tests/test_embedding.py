@@ -16,10 +16,15 @@ from gfee import (
     export_csv,
     fuse,
     load_binary,
-    to_adjacency,
 )
 
-from helpers import adjacency_product, dense_embed_oracle, random_graph, random_labels
+from helpers import (
+    adjacency_product,
+    dense_embed_oracle,
+    random_graph,
+    random_labels,
+    to_adjacency,
+)
 
 
 def test_class_counts_basic():

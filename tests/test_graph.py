@@ -12,13 +12,12 @@ from gfee import (
     GraphCollection,
     LabelVector,
     as_labels,
-    from_adjacency,
     read_edgelist,
     read_labels,
-    to_adjacency,
     validate_collection,
-    write_edgelist,
 )
+
+from helpers import from_adjacency, to_adjacency, write_edgelist
 
 
 def test_validate_well_formed():

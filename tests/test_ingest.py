@@ -12,11 +12,12 @@ from gfee import (
     binarize,
     build_encoder,
     embed_graph,
-    from_adjacency,
     intersect_vertices,
     load_manifest,
     read_attributes,
 )
+
+from helpers import from_adjacency
 
 
 def test_cosine_identical_rows():

@@ -15,11 +15,10 @@ from gfee import (
     sample_collection,
     sample_graph,
     sample_labels,
-    to_adjacency,
 )
 from gfee.sbm import _bernoulli_indices, _unrank_triu
 
-from helpers import empirical_block_density, sample_pairwise
+from helpers import empirical_block_density, sample_pairwise, to_adjacency
 
 
 def test_named_specs():
