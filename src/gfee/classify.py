@@ -7,11 +7,19 @@ labels never reach the encoder matrix. Neighbor search is exact brute force
 over all training rows with partial selection: each query keeps its k
 nearest training points, distance ties at the k-th place going to the lower
 training index, exactly as a stable full sort would.
+
+The fold, not the graph, is the unit of parallel work: with ``jobs`` > 1 the
+per-fold embeddings run ahead on worker threads while the calling thread
+runs kNN and the tallies in serial order, so every report is the same at
+any ``jobs``.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,41 +149,72 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, replicate]))
 
 
-def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol) -> ErrorReport:
-    """Shared CV loop; embed_for_fold(test_mask) -> points of every vertex."""
+def _look_ahead(fn, items: list, jobs: int | None):
+    """fn(item) for each item, yielded in order. With jobs > 1 the calls for
+    the next items run on min(jobs, len(items)) worker threads, at most that
+    many in flight, while the caller consumes the earlier results."""
+    workers = min(jobs or 1, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, x) for x in items[:workers])
+        for x in items[workers:]:
+            done = pending.popleft().result()
+            pending.append(pool.submit(fn, x))
+            yield done
+        while pending:
+            yield pending.popleft().result()
+
+
+def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
+            jobs: int | None = None) -> ErrorReport:
+    """Shared CV loop; embed_for_fold(test_mask) -> points of every vertex.
+
+    Every (replicate, fold) is planned first, in serial order, so the first
+    fold with fewer than k training points raises before any embedding runs.
+    The embeddings then run ahead on up to ``jobs`` threads (see
+    _look_ahead); kNN and every tally stay on the calling thread, in serial
+    order, so the report does not depend on ``jobs``.
+    """
     y = labels.y
     K = labels.K
     if not (y > 0).any():
         raise ValueError("cross-validation needs labeled vertices")
     k = protocol.neighbor_count
-    per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
-    per_replicate = np.empty(protocol.replicates)
-    confusion = np.zeros((K, K), dtype=np.int64)
+    tasks = []
     short_folds = 0
     for r in range(protocol.replicates):
-        rng = _replicate_rng(protocol.seed, r)
-        assign = stratified_folds(y, protocol.folds, rng)
-        wrong = 0
-        total = 0
+        assign = stratified_folds(y, protocol.folds, _replicate_rng(protocol.seed, r))
         for f in range(protocol.folds):
             test = assign == f
-            train = (assign >= 0) & ~test
             if not test.any():
                 continue
+            train = (assign >= 0) & ~test
             n_train = int(train.sum())
             if n_train < k:
                 raise ValueError(f"k={k} exceeds {n_train} training points "
                                  f"in fold {f + 1} of replicate {r + 1}")
             short_folds += int((class_counts(LabelVector(y[train], K)) == 0).any())
-            points = embed_for_fold(test)
+            tasks.append((r, f, assign))
+    per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
+    wrong = np.zeros(protocol.replicates, dtype=np.int64)
+    total = np.zeros(protocol.replicates, dtype=np.int64)
+    confusion = np.zeros((K, K), dtype=np.int64)
+    # closing() shuts the pool down here, also when kNN raises
+    with closing(_look_ahead(lambda task: embed_for_fold(task[2] == task[1]),
+                             tasks, jobs)) as embedded:
+        for (r, f, assign), points in zip(tasks, embedded):
+            test = assign == f
+            train = (assign >= 0) & ~test
             preds = _knn_batch(points[train], y[train], points[test], k, K)
             truth = y[test]
             confusion += np.bincount((truth - 1) * K + preds - 1, minlength=K * K).reshape(K, K)
             miss = int((preds != truth).sum())
             per_fold[r, f] = miss / test.sum()
-            wrong += miss
-            total += int(test.sum())
-        per_replicate[r] = wrong / total
+            wrong[r] += miss
+            total[r] += int(test.sum())
+    per_replicate = wrong / total
     if short_folds:
         warnings.warn(f"{short_folds} fold(s) trained without some class, "
                       "which those folds cannot predict", stacklevel=3)
@@ -195,7 +234,10 @@ def cross_validate(collection: GraphCollection, labels: LabelVector,
 
     The embedding is recomputed for every fold with the held-out labels set
     to 0, so fold labels cannot influence the encoder matrix. Ground-truth
-    labels are used only to score predictions.
+    labels are used only to score predictions. With ``jobs`` > 1 up to
+    ``jobs`` fold embeddings run ahead on worker threads while kNN runs on
+    the calling thread; None or 1 runs everything on the calling thread.
+    The report is the same at any ``jobs``.
     """
     labels = as_labels(labels)
     y = labels.y
@@ -203,9 +245,9 @@ def cross_validate(collection: GraphCollection, labels: LabelVector,
     def embed_for_fold(test):
         masked = y.copy()
         masked[test] = 0
-        return fuse(collection, LabelVector(masked, labels.K), jobs=jobs)
+        return fuse(collection, LabelVector(masked, labels.K))
 
-    return _run_cv(embed_for_fold, labels, protocol)
+    return _run_cv(embed_for_fold, labels, protocol, jobs)
 
 
 def cross_validate_embedding(points, labels: LabelVector,

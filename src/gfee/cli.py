@@ -66,7 +66,7 @@ def _load_inputs(args):
 
 def _cmd_embed(args) -> int:
     collection, labels = _load_inputs(args)
-    Z = fuse(collection, labels, jobs=args.jobs)
+    Z = fuse(collection, labels)
     if args.format == "csv":
         export_csv(Z, args.out)
     else:
@@ -137,7 +137,8 @@ def _add_protocol_flags(p, folds=5, replicates=20):
     p.add_argument("--replicates", type=int, default=replicates)
     p.add_argument("--knn", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+                   help="threads that embed the next folds while kNN runs")
 
 
 def _add_sim_flags(p):
@@ -158,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "bin"), default="csv")
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+                   help="accepted for symmetry with the other commands; embed is serial")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("evaluate", help="cross-validated 5-NN error report")
@@ -192,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise _ValidationFailure("--jobs must be >= 1")
         return args.func(args)
     except (_ValidationFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ nothing to W, and a class with no labeled vertex gets a zero column.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,17 +46,16 @@ def embed_graph(graph, W: np.ndarray) -> np.ndarray:
     return row_normalize(sum(T @ W for T in adjacency_terms(graph)))
 
 
-def fuse(collection: GraphCollection, labels: LabelVector,
-         jobs: int | None = None) -> np.ndarray:
+def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
     """Fusion embedding n x (M*K) of all graphs; graph m in columns m*K..(m+1)*K.
 
-    W is built once from the labels and shared; per-graph embeddings are
-    independent and run on a pool of ``jobs`` threads (one if None). The
-    output covers every vertex, labeled or not.
+    W is built once from the labels and shared by the graphs, which are
+    embedded one after another on the calling thread; cross-validation runs
+    folds, not graphs, in parallel. The output covers every vertex, labeled
+    or not.
     """
     W = build_encoder(labels)
-    with ThreadPoolExecutor(max_workers=max(1, jobs or 1)) as pool:
-        return np.hstack(list(pool.map(lambda g: embed_graph(g, W), collection.graphs)))
+    return np.hstack([embed_graph(g, W) for g in collection.graphs])
 
 
 def export_csv(Z: np.ndarray, path) -> None:

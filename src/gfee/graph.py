@@ -6,6 +6,7 @@ Vertices are 0-based inside the library; edgelist *files* are 1-based
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import KW_ONLY, dataclass
@@ -66,6 +67,15 @@ class EdgeList:
     @property
     def num_edges(self) -> int:
         return len(self.u)
+
+    @functools.cached_property
+    def _coo(self) -> tuple:
+        """(A, A.T, loop_free): the COO array over this graph's own u, v and
+        w, its transpose, and whether no edge is a self-loop. Both arrays are
+        views of u, v and w, built once per graph, so scipy checks their
+        indices once and not on every embedding."""
+        A = sp.coo_array((self.w, (self.u, self.v)), shape=(self.n, self.n))
+        return A, A.T, not (self.u == self.v).any()
 
 
 @dataclass(frozen=True)
@@ -179,18 +189,20 @@ def adjacency_terms(g) -> list:
 
     An edge (u, v, w) adds w at A[u, v]; an undirected edge also adds it at
     A[v, u], except a self-loop, which counts once. Duplicate edges sum.
-    The sparse terms are COO arrays over the graph's own (u, v, w) arrays.
+    The sparse terms are COO arrays over the graph's own (u, v, w) arrays,
+    cached on the graph. An undirected graph with self-loops gets its
+    reversed off-diagonal term as a fresh copy on each call, so no graph
+    holds a second copy of its edges.
     """
     if isinstance(g, DenseGraph):
         return [g.matrix]
-    shape = (g.n, g.n)
-    A = sp.coo_array((g.w, (g.u, g.v)), shape=shape)
+    A, At, loop_free = g._coo
     if g.directed:
         return [A]
+    if loop_free:
+        return [A, At]
     off = g.u != g.v
-    if off.all():
-        return [A, A.T]
-    return [A, sp.coo_array((g.w[off], (g.v[off], g.u[off])), shape=shape)]
+    return [A, sp.coo_array((g.w[off], (g.v[off], g.u[off])), shape=A.shape)]
 
 
 _EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),

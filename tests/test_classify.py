@@ -1,4 +1,8 @@
 import json
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +237,74 @@ def test_cv_singleton_class_trains_without_it():
     assert report.confusion.sum() == 60 * 2  # every labeled vertex once per replicate
     assert report.confusion[2].sum() == 2  # the singleton is scored as usual
     assert np.isfinite(report.per_replicate).all()
+
+
+def test_cv_report_is_the_same_at_any_jobs():
+    # the class-3 singleton makes one short fold in each of the 3 replicates
+    rng = np.random.default_rng(14)
+    coll = GraphCollection((random_graph(rng, 60), random_graph(rng, 60)))
+    y = as_labels([1] * 30 + [2] * 29 + [3])
+    proto = EvalProtocol(folds=5, replicates=3, seed=3)
+    seen = []
+    for jobs in (1, 2, 4):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = cross_validate(coll, y, proto, jobs=jobs)
+        seen.append((report.per_fold.tobytes(), report.confusion.tobytes(),
+                     report.per_replicate.tobytes(), [str(w.message) for w in caught]))
+    assert seen[0][3] == ["3 fold(s) trained without some class, "
+                          "which those folds cannot predict"]
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+@pytest.mark.parametrize("jobs", [None, 4])
+def test_cv_first_failing_fold_raises_at_any_jobs(jobs):
+    # replicates 1 and 2 have at least k training points in every fold
+    rng = np.random.default_rng(14)
+    coll = GraphCollection((random_graph(rng, 20), random_graph(rng, 20)))
+    y = as_labels([1] * 5 + [2] + [0] * 14)
+    proto = EvalProtocol(folds=4, replicates=3, neighbor_count=4, seed=9)
+    with pytest.raises(ValueError, match=r"^k=4 exceeds 3 training points in fold 4 of replicate 3$"):
+        cross_validate(coll, y, proto, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 64])
+def test_fold_pool_runs_at_most_jobs_embeddings_at_once(jobs):
+    # 3 folds x 2 replicates = 6 tasks, so jobs=64 may start at most 6 threads
+    y = as_labels([1, 2] * 6)
+    points = np.arange(24.0).reshape(12, 2)
+    lock = threading.Lock()
+    running, peak, idents, threads = 0, 0, set(), 0
+    before = threading.active_count()
+
+    def embed_for_fold(test):
+        nonlocal running, peak, threads
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            idents.add(threading.get_ident())
+            threads = max(threads, threading.active_count() - before)
+        time.sleep(0.02)
+        with lock:
+            running -= 1
+        return points
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = classify._run_cv(embed_for_fold, y,
+                                  EvalProtocol(folds=3, replicates=2, neighbor_count=1), jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    bound = min(jobs, 6)
+    assert peak <= bound and threads <= bound and len(idents) <= bound
+    if jobs == 1:
+        assert idents == {threading.get_ident()}
+    else:
+        assert peak > 1
+    serial = cross_validate_embedding(points, y, EvalProtocol(folds=3, replicates=2,
+                                                              neighbor_count=1))
+    assert report.per_fold.tobytes() == serial.per_fold.tobytes()
 
 
 @pytest.mark.parametrize("y", [[1, 2, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]],

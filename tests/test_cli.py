@@ -66,13 +66,14 @@ def test_evaluate_json_deterministic(tiny_dataset, capsys):
     args = ["evaluate", "--graphs", str(tiny_dataset / "g1.txt"),
             str(tiny_dataset / "g2.txt"),
             "--labels", str(tiny_dataset / "labels.txt"),
-            "--folds", "2", "--replicates", "2", "--knn", "1", "--seed", "5"]
+            "--folds", "2", "--replicates", "3", "--knn", "1", "--seed", "5"]
     assert main(args) == 0
     first = capsys.readouterr().out
     obj = json.loads(first)
     assert set(obj) == {"mean_error", "std_error", "per_replicate", "confusion"}
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
+    for jobs in ("1", "2", "4"):
+        assert main(args + ["--jobs", jobs]) == 0
+        assert capsys.readouterr().out == first
 
 
 def test_evaluate_subset(tiny_dataset, capsys):
@@ -255,6 +256,23 @@ def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, c
                 "--out", str(tiny_dataset / "x.csv")]
     assert main(args) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["embed", "evaluate", "simulate", "verify", "baseline"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_2(tiny_dataset, capsys, command, jobs):
+    # such a value used to run silently on one thread
+    if command in ("embed", "evaluate"):
+        args = [command, "--graphs", str(tiny_dataset / "g1.txt"),
+                "--labels", str(tiny_dataset / "labels.txt")]
+        args += ["--out", str(tiny_dataset / "x.csv")] if command == "embed" else [
+            "--folds", "2", "--replicates", "1", "--knn", "1", "--seed", "1"]
+    else:
+        args = [command, "--sim", "sim1", "--n-grid", "60", "--folds", "2",
+                "--replicates", "1", "--seed", "1"]
+        args += ["--method", "gfee"] if command == "baseline" else []
+    assert main(args + ["--jobs", jobs]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_evaluate_manifest_without_labels_exits_2(tmp_path, capsys):

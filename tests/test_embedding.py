@@ -17,6 +17,7 @@ from gfee import (
     fuse,
     load_binary,
 )
+from gfee.graph import adjacency_terms
 
 from helpers import (
     adjacency_product,
@@ -198,11 +199,44 @@ def test_fuse_block_norms_unit_or_zero():
         assert np.all((np.abs(norms - 1) < 1e-12) | (norms == 0))
 
 
-def test_fuse_threaded_matches_serial():
+def _held_arrays(e):
+    """Every array an EdgeList holds: its fields and what it has cached."""
+    held = []
+    for value in vars(e).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                held.append(item)
+            elif hasattr(item, "coords"):
+                held.extend([*item.coords, item.data])
+    return held
+
+
+def test_loop_free_terms_are_cached_views():
     rng = np.random.default_rng(9)
-    coll = GraphCollection(tuple(random_graph(rng, 40) for _ in range(4)))
+    e = random_graph(rng, 40)
     y = random_labels(rng, 40, 3)
-    assert np.array_equal(fuse(coll, y), fuse(coll, y, jobs=4))
+    A, At = adjacency_terms(e)
+    for T, rows, cols in ((A, e.u, e.v), (At, e.v, e.u)):
+        assert np.shares_memory(T.row, rows) and np.shares_memory(T.col, cols)
+        assert np.shares_memory(T.data, e.w)
+    again = adjacency_terms(e)
+    assert again[0] is A and again[1] is At
+    W = build_encoder(y)
+    assert np.abs(fuse(GraphCollection((e,)), y) - dense_embed_oracle(e, W)).max() <= 1e-12
+
+
+def test_self_loop_graph_holds_no_copy_of_its_edges():
+    # the reversed off-diagonal term is built on each call and dropped after it
+    rng = np.random.default_rng(10)
+    e = random_graph(rng, 40, loops=True)
+    assert (e.u == e.v).any()
+    y = random_labels(rng, 40, 3)
+    Z = fuse(GraphCollection((e, e)), y)
+    held = _held_arrays(e)
+    assert len(held) > 3  # the cached terms are among them
+    assert all(any(np.shares_memory(a, b) for b in (e.u, e.v, e.w)) for a in held)
+    W = build_encoder(y)
+    assert np.abs(Z[:, :3] - dense_embed_oracle(e, W)).max() <= 1e-12
 
 
 @st.composite
