@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import EvalProtocol, cross_validate_embedding
-from .graph import GraphCollection, LabelVector, adjacency_terms
+from .graph import DenseGraph, GraphCollection, LabelVector, adjacency_terms
 
 # matrices at most this wide use exact dense decompositions
 DENSE_LIMIT = 600
@@ -26,6 +26,15 @@ _RANK_RTOL = 1e-12
 
 def _to_csr(graph) -> sp.csr_matrix:
     return sum(sp.csr_matrix(T) for T in adjacency_terms(graph))
+
+
+def _require_symmetric(collection: GraphCollection, method: str) -> None:
+    """Omnibus and MASE eigendecompose each adjacency as a symmetric matrix,
+    which a directed graph's is not: eigh reads one triangle, eigsh assumes
+    symmetry."""
+    for m, g in enumerate(collection.graphs, 1):
+        if (not np.allclose(g.matrix, g.matrix.T)) if isinstance(g, DenseGraph) else g.directed:
+            raise ValueError(f"{method} needs undirected graphs; graph {m} is directed")
 
 
 def _fix_signs(U: np.ndarray, V: np.ndarray | None = None):
@@ -118,6 +127,7 @@ def omnibus_embed(collection: GraphCollection, d: int) -> np.ndarray:
     Returns the stacked (M*n) x d embedding with rows grouped by graph;
     average the M rows of a vertex for its classification representation.
     """
+    _require_symmetric(collection, "omnibus")
     As = [_to_csr(g) for g in collection.graphs]
     vals, vecs = top_eigenpairs(_omnibus_operator(As), d)
     return _scale(vecs, vals)
@@ -130,6 +140,7 @@ def mase_embed(collection: GraphCollection, d: int, d_stage1: int = 30) -> np.nd
     scale lives in graph-specific score matrices, not the shared subspace),
     so every graph competes equally in the second projection.
     """
+    _require_symmetric(collection, "mase")
     stage1 = [top_eigenpairs(_to_csr(g), min(d_stage1, collection.n))[1]
               for g in collection.graphs]
     C = np.hstack(stage1)

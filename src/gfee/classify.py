@@ -145,10 +145,6 @@ def stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.
     return assign
 
 
-def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, replicate]))
-
-
 def _look_ahead(fn, items: list, jobs: int | None):
     """fn(item) for each item, yielded in order. With jobs > 1 the calls for
     the next items run on min(jobs, len(items)) worker threads, at most that
@@ -179,27 +175,29 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
     """
     y = labels.y
     K = labels.K
-    if not (y > 0).any():
+    counts = class_counts(labels)
+    labeled = int(counts.sum())
+    if not labeled:
         raise ValueError("cross-validation needs labeled vertices")
     k = protocol.neighbor_count
     tasks = []
     short_folds = 0
     for r in range(protocol.replicates):
-        assign = stratified_folds(y, protocol.folds, _replicate_rng(protocol.seed, r))
+        rng = np.random.default_rng(np.random.SeedSequence([protocol.seed, r]))
+        assign = stratified_folds(y, protocol.folds, rng)
         for f in range(protocol.folds):
             test = assign == f
             if not test.any():
                 continue
-            train = (assign >= 0) & ~test
-            n_train = int(train.sum())
+            n_train = labeled - int(test.sum())
             if n_train < k:
                 raise ValueError(f"k={k} exceeds {n_train} training points "
                                  f"in fold {f + 1} of replicate {r + 1}")
-            short_folds += int((class_counts(LabelVector(y[train], K)) == 0).any())
+            # a class whose every labeled vertex is in the test fold
+            short_folds += int((np.bincount(y[test], minlength=K + 1)[1:] == counts).any())
             tasks.append((r, f, assign))
     per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
     wrong = np.zeros(protocol.replicates, dtype=np.int64)
-    total = np.zeros(protocol.replicates, dtype=np.int64)
     confusion = np.zeros((K, K), dtype=np.int64)
     # closing() shuts the pool down here, also when kNN raises
     with closing(_look_ahead(lambda task: embed_for_fold(task[2] == task[1]),
@@ -213,8 +211,8 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
             miss = int((preds != truth).sum())
             per_fold[r, f] = miss / test.sum()
             wrong[r] += miss
-            total[r] += int(test.sum())
-    per_replicate = wrong / total
+    # every labeled vertex is tested exactly once per replicate
+    per_replicate = wrong / labeled
     if short_folds:
         warnings.warn(f"{short_folds} fold(s) trained without some class, "
                       "which those folds cannot predict", stacklevel=3)

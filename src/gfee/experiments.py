@@ -55,8 +55,8 @@ def _draw_seed(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), *map(int, key)])
 
 
-def _inner_protocol(protocol: EvalProtocol, seed: int, *key: int) -> EvalProtocol:
-    fold_seed = int(_draw_seed(seed, *key, 7).generate_state(1)[0])
+def _inner_protocol(protocol: EvalProtocol, *key: int) -> EvalProtocol:
+    fold_seed = int(_draw_seed(protocol.seed, *key, 7).generate_state(1)[0])
     return EvalProtocol(folds=protocol.folds, replicates=1,
                         neighbor_count=protocol.neighbor_count, seed=fold_seed)
 
@@ -101,7 +101,7 @@ def _subset_errors(spec: BlockSpec, n: int, subset_sizes, protocol: EvalProtocol
     times = np.zeros(len(subset_sizes))
     for rep in range(protocol.replicates):
         collection, labels, _ = sample_collection(spec, n, _draw_seed(protocol.seed, n, rep))
-        inner = _inner_protocol(protocol, protocol.seed, n, rep)
+        inner = _inner_protocol(protocol, n, rep)
         for si, m in enumerate(subset_sizes):
             start = time.perf_counter()
             report = cross_validate(collection.subset(range(m)), labels, inner, jobs=jobs)
@@ -157,10 +157,12 @@ def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol,
 
     Emits (a) the class-mean convergence curve over n, (b) the row-uniqueness
     verdict with the exact prior-coin error floor and the observed error
-    at the largest n, and (c) the nested-subset monotonicity table. The
-    observed error in (b) is the all-graphs arm of (c), computed once; its
-    verdict, witness and floor come from one coincident_groups call.
+    at the largest n, and (c) run_simulation's rows at the largest n as the
+    monotonicity table. (b)'s error is (c)'s all-graphs arm; its verdict,
+    witness and floor come from one coincident_groups call.
     """
+    if not len(n_grid):
+        raise ValueError("n_grid must list at least one vertex count")
     n_grid = sorted(n_grid)
     base = _provenance(spec, protocol)
     rows = []
@@ -174,20 +176,16 @@ def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol,
         rows.append(_row("convergence", n, base, time.perf_counter() - start,
                          max_dev=float(np.mean(devs))))
 
-    n_top = int(n_grid[-1])
-    subset_sizes = list(range(1, spec.M + 1))
-    errors, times = _subset_errors(spec, n_top, subset_sizes, protocol, jobs)
-
-    start = time.perf_counter()
+    monotonicity = [{**row, "section": "monotonicity"}
+                    for row in run_simulation(spec, n_grid[-1:], protocol, jobs)]
+    top = monotonicity[-1]
     groups = coincident_groups(spec)
-    rows.append(_row("identifiability", n_top, base,
-                     time.perf_counter() - start + times[-1], errors=errors[-1],
+    rows.append(_row("identifiability", top["n"], base, top["wall_time_s"],
+                     mean_error=top["mean_error"], std_error=top["std_error"],
                      identifiable=int(not groups),
                      witness=",".join(map(str, groups[0][:2])) if groups else "",
                      oracle_floor=prior_coin_floor(spec.priors, groups)))
-    for si, m in enumerate(subset_sizes):
-        rows.append(_row("monotonicity", n_top, base, times[si], graphs=m, errors=errors[si]))
-    return rows
+    return rows + monotonicity
 
 
 def run_baseline(spec: BlockSpec, method: str, n_grid, protocol: EvalProtocol,

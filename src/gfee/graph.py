@@ -7,7 +7,6 @@ Vertices are 0-based inside the library; edgelist *files* are 1-based
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
@@ -27,12 +26,14 @@ def _whole(a, what: str) -> np.ndarray:
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Make an array read-only and return it. Value types store their arrays
     through this, so an input ndarray that needs no conversion is kept, not
-    copied, and the caller's own array becomes read-only too."""
+    copied, and the caller's own array becomes read-only too. They are
+    declared eq=False and so compare and hash by identity: a generated
+    __eq__ over ndarray fields raises instead of answering."""
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeList:
     """Sparse graph as parallel arrays (u, v, w) over n vertices.
 
@@ -78,7 +79,7 @@ class EdgeList:
         return A, A.T, not (self.u == self.v).any()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseGraph:
     """Dense weighted graph (similarity matrix); avoids edge expansion. The
     matrix is the adjacency matrix as it is, symmetric or not."""
@@ -98,7 +99,7 @@ class DenseGraph:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphCollection:
     """Ordered, non-empty sequence of graphs sharing one vertex set."""
 
@@ -127,7 +128,7 @@ class GraphCollection:
         return GraphCollection(tuple(self.graphs[i] for i in indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelVector:
     """Per-vertex class labels, whole numbers in {0..K}; 0 marks an unknown label."""
 
@@ -176,7 +177,7 @@ def validate_collection(collection: GraphCollection, labels: LabelVector) -> lis
     if labels.n != collection.n:
         violations.append(f"label length {labels.n} does not match vertex count {collection.n}")
     counts = class_counts(labels)
-    if labels.K >= 1 and counts.sum() == 0:
+    if counts.sum() == 0:
         violations.append("no training labels")
     else:
         for k in np.flatnonzero(counts == 0):
@@ -205,39 +206,32 @@ def adjacency_terms(g) -> list:
     return [A, sp.coo_array((g.w[off], (g.v[off], g.u[off])), shape=A.shape)]
 
 
-_EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),
-              3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])}
-_LABEL_ROWS = {1: np.dtype([("y", np.int64)])}
+_EDGE_ROWS = (np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+              np.dtype([("u", np.int64), ("v", np.int64)]))
+_LABEL_ROWS = (np.dtype([("y", np.int64)]),)
 
 
-def _loadtxt_columns(path, rows: dict, commas: bool) -> list | None:
-    """The columns of a text file parsed by one np.loadtxt pass, or None when
-    only the line loop reads it the same way.
+def _loadtxt_columns(path, rows: tuple, commas: bool) -> list | None:
+    """The columns of a text file parsed by np.loadtxt, or None when only the
+    line loop reads it the same way.
 
-    ``rows`` maps the field count of the first data line to the row dtype.
-    None comes back for a file with no data line, a first data line of any
-    other field count, or any file loadtxt rejects: lines whose field count
-    changes, fields such as ``1_000`` that int() reads and loadtxt does not,
-    or undecodable bytes. Warnings count as rejections, so no numpy version
-    reads "1.0" into an int column with a deprecation warning.
+    Each row dtype in ``rows`` is tried in turn; loadtxt rejects a line of
+    another field count. None comes back when it rejects every dtype: a file
+    with no data line, lines whose field count changes, fields such as
+    ``1_000`` that int() reads and loadtxt does not, or undecodable bytes.
+    Warnings count as rejections, so no numpy version reads "1.0" into an
+    int column with a deprecation warning.
     """
-    try:
-        with open(path) as fh:
-            lines = (line.replace(",", " ") for line in fh) if commas else fh
-            head, fields = [], []
-            for line in lines:
-                head.append(line)
-                if fields := line.split("#", 1)[0].split():
-                    break
-            if len(fields) not in rows:
-                return None
-            with warnings.catch_warnings():
+    for dtype in rows:
+        try:
+            with open(path) as fh, warnings.catch_warnings():
                 warnings.simplefilter("error")
-                table = np.loadtxt(itertools.chain(head, lines), dtype=rows[len(fields)],
-                                   comments="#", ndmin=1)
-    except (ValueError, Warning):
-        return None
-    return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+                lines = (line.replace(",", " ") for line in fh) if commas else fh
+                table = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        except (ValueError, Warning):
+            continue
+        return [np.ascontiguousarray(table[name]) for name in dtype.names]
+    return None
 
 
 def _int64(values: Sequence[int], what: str, path) -> np.ndarray:

@@ -285,3 +285,21 @@ def test_best_d_rank_zero_raises(method):
     with pytest.warns(UserWarning, match="numerical rank 0"), \
             pytest.raises(ValueError, match=f"{method}: numerical rank 0"):
         best_d_error(method, coll, y, EvalProtocol(folds=3, replicates=1), d_max=5)
+
+
+@pytest.mark.parametrize("method", ["omnibus", "mase"])
+def test_eigendecomposing_methods_reject_directed_graphs(method):
+    # eigh reads one triangle of an asymmetric matrix and eigsh assumes
+    # symmetry, so a directed graph would be read as some other graph
+    embed = {"omnibus": omnibus_embed, "mase": mase_embed}[method]
+    rng = np.random.default_rng(12)
+    undirected = random_graph(rng, 60, density=0.2)
+    directed = random_graph(rng, 60, density=0.2, directed=True)
+    A = to_adjacency(directed)
+    for g in (directed, DenseGraph(A)):
+        with pytest.raises(ValueError, match=f"{method} needs undirected graphs; graph 2"):
+            embed(GraphCollection((undirected, g)), 3)
+    S = A + A.T
+    S[0, 1] += 1e-14  # symmetric within rounding
+    assert embed(GraphCollection((undirected, DenseGraph(S))), 3).shape[1] == 3
+    assert use_embed(GraphCollection((undirected, directed)), 3).shape == (60, 6)

@@ -62,6 +62,33 @@ def test_embed_validation_failure_exits_2(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_embed_all_zero_labels_exits_2(tiny_dataset, capsys):
+    (tiny_dataset / "zeros.txt").write_text("0\n0\n0\n0\n")
+    code = main(["embed", "--graphs", str(tiny_dataset / "g1.txt"),
+                 "--labels", str(tiny_dataset / "zeros.txt"),
+                 "--out", str(tiny_dataset / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no training labels\n"
+
+
+def test_embed_empty_class_exits_2(tiny_dataset, capsys):
+    (tiny_dataset / "gap.txt").write_text("1\n1\n3\n3\n")
+    code = main(["embed", "--graphs", str(tiny_dataset / "g1.txt"),
+                 "--labels", str(tiny_dataset / "gap.txt"),
+                 "--out", str(tiny_dataset / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: empty class 2\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--graphs", "g1.txt"], ["--labels", "labels.txt"]],
+                         ids=["nothing", "graphs-only", "labels-only"])
+def test_embed_without_inputs_exits_2(tiny_dataset, capsys, flags):
+    flags = [str(tiny_dataset / f) if f.endswith(".txt") else f for f in flags]
+    code = main(["embed", *flags, "--out", str(tiny_dataset / "x.csv")])
+    assert code == 2
+    assert "either --manifest or --graphs and --labels required" in capsys.readouterr().err
+
+
 def test_evaluate_json_deterministic(tiny_dataset, capsys):
     args = ["evaluate", "--graphs", str(tiny_dataset / "g1.txt"),
             str(tiny_dataset / "g2.txt"),

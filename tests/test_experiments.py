@@ -2,6 +2,7 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from gfee import (
     BlockSpec,
@@ -97,6 +98,14 @@ def test_verify_theorems_non_identifiable_floor():
     ident = next(r for r in table if r["section"] == "identifiability")
     assert ident["witness"] == "1,2"
     assert abs(float(ident["oracle_floor"]) - 0.4) < 1e-15
+
+
+def test_empty_n_grid():
+    proto = EvalProtocol(folds=4, replicates=1, seed=31)
+    with pytest.raises(ValueError, match="at least one vertex count"):
+        verify_theorems(SIM1, [], proto)
+    assert run_simulation(SIM1, [], proto) == []
+    assert run_baseline(SIM1, "gfee", [], proto) == []
 
 
 def test_run_baseline_rows():

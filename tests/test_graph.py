@@ -51,6 +51,12 @@ def test_validate_no_training_labels():
     assert any("no training labels" in v for v in violations)
 
 
+def test_validate_all_zero_labels_have_no_training_labels():
+    # an all-zero label file reads as K = 0: no class at all, so no training label
+    g = EdgeList([0], [1], n=2)
+    assert validate_collection(GraphCollection((g,)), as_labels([0, 0])) == ["no training labels"]
+
+
 def test_validate_empty_class():
     g = EdgeList([0, 2], [1, 3], n=4)
     violations = validate_collection(GraphCollection((g,)), as_labels([1, 1, 1, 0], K=2))
@@ -320,7 +326,8 @@ def test_files_without_data_lines_read_without_warning(tmp_path, text):
     ("1 2\n2 3\n", True),
     ("1 2\n2 3 0.5\n", False),  # mixed 2- and 3-field lines
     ("1_000 2\n", False),
-], ids=["weighted", "unweighted", "mixed", "underscore"])
+    ("1 2 0.5 7\n", False),
+], ids=["weighted", "unweighted", "mixed", "underscore", "four-fields"])
 def test_loadtxt_reads_plain_files_and_leaves_the_rest(tmp_path, text, fast):
     p = tmp_path / "g.txt"
     p.write_text(text)
@@ -330,6 +337,17 @@ def test_loadtxt_reads_plain_files_and_leaves_the_rest(tmp_path, text, fast):
         loop = graph._edge_lines(p)
         assert all(c.flags.c_contiguous for c in columns)
         assert all(np.array_equal(c, l) for c, l in zip(columns, loop))
+
+
+def test_value_types_compare_and_hash_by_identity():
+    e, e2 = EdgeList([0], [1], n=2), EdgeList([0], [1], n=2)
+    d, d2 = DenseGraph(np.eye(2)), DenseGraph(np.eye(2))
+    c, c2 = GraphCollection((e,)), GraphCollection((e,))
+    y, y2 = as_labels([1, 2]), as_labels([1, 2])
+    for a, b in ((e, e2), (d, d2), (c, c2), (y, y2)):
+        assert a == a and a != b
+        assert a in [a] and a not in [b]
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def test_collection_subset():

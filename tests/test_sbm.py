@@ -170,6 +170,19 @@ def test_bernoulli_indices_statistics():
     assert np.array_equal(_bernoulli_indices(5, 1.0, rng), np.arange(5))
 
 
+def test_bernoulli_indices_continues_after_a_chunk_that_falls_short():
+    class OneStepRng:  # every gap is 1, so each chunk ends before N
+        calls = 0
+
+        def geometric(self, p, size):
+            self.calls += 1
+            return np.ones(size, dtype=np.int64)
+
+    rng = OneStepRng()
+    assert np.array_equal(_bernoulli_indices(1000, 0.1, rng), np.arange(1000))
+    assert rng.calls == 11
+
+
 def test_samplers_agree_in_distribution():
     spec = named_spec("sim1")
     y = sample_labels(1500, spec.priors, 1)
