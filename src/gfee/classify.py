@@ -258,6 +258,8 @@ def cross_validate_embedding(points, labels: LabelVector,
     """
     labels = as_labels(labels)
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be an n x d array, got shape {points.shape}")
     if len(points) != labels.n:
         raise ValueError("points/labels length mismatch")
     if not np.isfinite(points).all():

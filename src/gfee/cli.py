@@ -196,6 +196,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise _ValidationFailure("--jobs must be >= 1")
+        if min(getattr(args, "n_grid", (1,))) < 1:
+            raise _ValidationFailure("--n-grid vertex counts must be >= 1")
         return args.func(args)
     except (_ValidationFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,9 +52,11 @@ def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
     W is built once from the labels and shared by the graphs, which are
     embedded one after another on the calling thread; cross-validation runs
     folds, not graphs, in parallel. The output covers every vertex, labeled
-    or not.
+    or not. At least one vertex must be labeled.
     """
     W = build_encoder(labels)
+    if not W.any():
+        raise ValueError("no training labels: every vertex is unlabeled")
     return np.hstack([embed_graph(g, W) for g in collection.graphs])
 
 

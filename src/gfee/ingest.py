@@ -92,12 +92,9 @@ def intersect_vertices(graphs, id_lists):
             raise ValueError("id list length does not match vertex count")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex id within a graph")
-    common = set(id_lists[0])
-    for ids in id_lists[1:]:
-        common &= set(ids)
-    if not common:
+    order = sorted(set(id_lists[0]).intersection(*id_lists[1:]))
+    if not order:
         raise ValueError("empty vertex-id intersection")
-    order = sorted(common)
     new_index = {vid: i for i, vid in enumerate(order)}
     out, removed = [], []
     for g, ids in zip(graphs, id_lists):
@@ -105,8 +102,7 @@ def intersect_vertices(graphs, id_lists):
         kept = remap >= 0
         removed.append(ids[~kept])
         if isinstance(g, DenseGraph):
-            at = np.empty(len(order), dtype=np.int64)
-            at[remap[kept]] = np.flatnonzero(kept)
+            at = np.flatnonzero(kept)[np.argsort(remap[kept])]
             out.append(DenseGraph(g.matrix[np.ix_(at, at)]))
         else:
             keep = kept[g.u] & kept[g.v]

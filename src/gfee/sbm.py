@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .embedding import row_normalize
 from .graph import EdgeList, GraphCollection, LabelVector, _frozen
@@ -43,6 +44,20 @@ class DegreeLaw:
         return rng.uniform(self.a, self.b, size=n)
 
 
+def _check_block(B: np.ndarray, K: int, theta_max: float, name: str) -> None:
+    """Raise unless B is a symmetric K x K matrix of probabilities that stay
+    <= 1 when both endpoints carry the largest degree parameter theta_max."""
+    if B.shape != (K, K):
+        raise ValueError(f"{name} has shape {B.shape}, expected K x K = ({K}, {K})")
+    if not ((B >= 0) & (B <= 1)).all():
+        raise ValueError(f"{name} has entries outside [0, 1]")
+    if not np.allclose(B, B.T):
+        raise ValueError(f"{name} is not symmetric")
+    peak = theta_max ** 2 * B.max(initial=0.0)
+    if peak > 1:
+        raise ValueError(f"degree parameters can push {name} probability to {peak:.3g} > 1")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockSpec:
     """Generative description of an M-graph SBM/DC-SBM collection."""
@@ -61,19 +76,9 @@ class BlockSpec:
             raise ValueError("each prior must lie in (0, 1)")
         if self.M < 1:
             raise ValueError("at least one block matrix required")
+        theta_max = 1.0 if self.degree_law is None else self.degree_law.b
         for m, B in enumerate(self.blocks):
-            if B.shape != (self.K, self.K):
-                raise ValueError(f"block {m + 1} is not K x K")
-            if not np.allclose(B, B.T):
-                raise ValueError(f"block {m + 1} is not symmetric")
-            if B.min() < 0 or B.max() > 1:
-                raise ValueError(f"block {m + 1} has entries outside [0, 1]")
-            if self.degree_law is not None:
-                peak = self.degree_law.b ** 2 * B.max()
-                if peak > 1:
-                    raise ValueError(
-                        f"degree law can push block {m + 1} probability to {peak:.3g} > 1"
-                    )
+            _check_block(B, self.K, theta_max, f"block {m + 1}")
 
     @property
     def K(self) -> int:
@@ -152,29 +157,17 @@ def _bernoulli_indices(N: int, p: float, rng: np.random.Generator) -> np.ndarray
         expect = (N - 1 - pos) * p
         size = int(expect + 6.0 * np.sqrt(expect + 1.0) + 16)
         steps = pos + np.cumsum(rng.geometric(p, size=size))
-        if steps[-1] >= N:
-            chunks.append(steps[steps < N])
-            break
-        chunks.append(steps)
+        chunks.append(steps[steps < N])
         pos = int(steps[-1])
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks)
 
 
 def _unrank_triu(t: np.ndarray, m: int):
     """Map ranks to pairs (a, b), 0 <= a < b < m, in row-major order."""
-    if len(t) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    tm = 2 * m - 1
-    a = np.floor((tm - np.sqrt(tm * tm - 8.0 * t)) / 2.0).astype(np.int64)
-
-    def cum(row):  # pairs ranked before the given row
-        return row * (2 * m - row - 1) // 2
-
-    a = np.where(cum(a) > t, a - 1, a)
-    a = np.where(cum(a + 1) <= t, a + 1, a)
-    b = t - cum(a) + a + 1
-    return a, b
+    rows = np.arange(m, dtype=np.int64)
+    starts = rows * (2 * m - rows - 1) // 2  # rank of each row's first pair
+    a = np.searchsorted(starts, t, side="right") - 1
+    return a, t - starts[a] + a + 1
 
 
 def _sample_blockwise(y0, B, theta, rng):
@@ -215,17 +208,22 @@ def sample_graph(labels: LabelVector, B, theta=None, rng=None) -> EdgeList:
 
     ``theta`` is the shared per-vertex parameter vector for this replicate
     (draw it once with ``DegreeLaw.sample`` and reuse for every graph); rng
-    may be a seed.
+    may be a seed. B must be a valid block matrix for ``labels.K`` classes,
+    as in BlockSpec, and theta finite and >= 0 with one entry per vertex.
     """
     y0 = labels.y - 1
     if (y0 < 0).any():
         raise ValueError("generator labels must all be known (1..K)")
     B = np.asarray(B, dtype=np.float64)
+    theta_max = 1.0
     if theta is not None:
         theta = np.asarray(theta, dtype=np.float64)
-        peak = theta.max(initial=0.0) ** 2 * B.max()
-        if peak > 1:
-            raise ValueError(f"theta pushes edge probability to {peak:.3g} > 1")
+        if theta.shape != (labels.n,):
+            raise ValueError(f"theta has shape {theta.shape}, expected ({labels.n},)")
+        if not (np.isfinite(theta).all() and (theta >= 0).all()):
+            raise ValueError("theta entries must be finite and >= 0")
+        theta_max = theta.max(initial=0.0)
+    _check_block(B, labels.K, theta_max, "block matrix")
     u, v = _sample_blockwise(y0, B, theta, np.random.default_rng(rng))
     return EdgeList(u, v, n=labels.n)
 
@@ -273,14 +271,8 @@ def coincident_groups(spec_or_blocks):
     Vertices of classes within one group are asymptotically indistinguishable.
     """
     Bt = normalized_blocks(spec_or_blocks)
-    K = Bt.shape[0]
-    group_of = list(range(K))
-    for k in range(K):
-        for l in range(k + 1, K):
-            if np.abs(Bt[k] - Bt[l]).max() <= _COINCIDE_TOL:
-                tgt, src = group_of[k], group_of[l]
-                group_of = [tgt if g == src else g for g in group_of]
-    groups = {}
-    for k, g in enumerate(group_of):
-        groups.setdefault(g, []).append(k + 1)
-    return [tuple(v) for v in groups.values() if len(v) >= 2]
+    near = np.abs(Bt[:, None] - Bt[None]).max(axis=2, initial=0.0) <= _COINCIDE_TOL
+    # groups are the components; sp.csgraph loads here, not when gfee is imported
+    count, comp = sp.csgraph.connected_components(near, directed=False)
+    members = [np.flatnonzero(comp == c) + 1 for c in range(count)]
+    return [tuple(g.tolist()) for g in members if len(g) >= 2]

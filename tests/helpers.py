@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from gfee import DenseGraph, EdgeList, as_labels
+from gfee import DenseGraph, EdgeList, as_labels, normalized_blocks
 from gfee.graph import adjacency_terms
+from gfee.sbm import _COINCIDE_TOL
 
 
 def to_adjacency(e) -> np.ndarray:
@@ -148,3 +149,20 @@ def sample_pairwise(labels, B, theta=None, rng=None):
         us.append(np.full(len(hits), i, dtype=np.int64))
         vs.append(hits + i + 1)
     return np.concatenate(us), np.concatenate(vs)
+
+
+def coincident_groups_loop(spec_or_blocks):
+    """Reference for ``sbm.coincident_groups``: merge the groups of every
+    coinciding class pair in turn, then list groups by first member."""
+    Bt = normalized_blocks(spec_or_blocks)
+    K = Bt.shape[0]
+    group_of = list(range(K))
+    for k in range(K):
+        for l in range(k + 1, K):
+            if np.abs(Bt[k] - Bt[l]).max() <= _COINCIDE_TOL:
+                tgt, src = group_of[k], group_of[l]
+                group_of = [tgt if g == src else g for g in group_of]
+    groups = {}
+    for k, g in enumerate(group_of):
+        groups.setdefault(g, []).append(k + 1)
+    return [tuple(v) for v in groups.values() if len(v) >= 2]

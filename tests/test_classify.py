@@ -325,6 +325,14 @@ def test_cv_embedding_rejects_non_finite_points():
         cross_validate_embedding(pts, y, EvalProtocol(folds=5, replicates=1, seed=0))
 
 
+@pytest.mark.parametrize("shape", [(20,), (20, 1, 1)])
+def test_cv_embedding_rejects_points_that_are_not_a_matrix(shape):
+    # 1-D points used to fail in _knn_batch with numpy's AxisError
+    with pytest.raises(ValueError, match="n x d array"):
+        cross_validate_embedding(np.arange(20.0).reshape(shape), as_labels([1, 2] * 10),
+                                 EvalProtocol(folds=2, replicates=1))
+
+
 def test_cv_requires_labels():
     with pytest.raises(ValueError, match="labeled"):
         cross_validate_embedding(np.zeros((4, 2)), as_labels([0, 0, 0, 0], K=1),

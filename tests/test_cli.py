@@ -302,6 +302,17 @@ def test_jobs_below_one_exits_2(tiny_dataset, capsys, command, jobs):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "baseline"])
+@pytest.mark.parametrize("grid", ["0", "-5", "60,0"])
+def test_n_grid_below_one_exits_2(capsys, command, grid):
+    # 0 used to fail inside cross-validation and -5 inside numpy's sampler
+    args = [command, "--sim", "sim1", "--n-grid", grid, "--folds", "2",
+            "--replicates", "1", "--seed", "1"]
+    args += ["--method", "gfee"] if command == "baseline" else []
+    assert main(args) == 2
+    assert "--n-grid vertex counts must be >= 1" in capsys.readouterr().err
+
+
 def test_evaluate_manifest_without_labels_exits_2(tmp_path, capsys):
     (tmp_path / "g1.txt").write_text("1 2\n")
     (tmp_path / "manifest.json").write_text(json.dumps({"graphs": [{"edgelist": "g1.txt"}]}))

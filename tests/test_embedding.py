@@ -75,6 +75,12 @@ def test_embed_empty_graph_is_zero():
     assert np.array_equal(Z, np.zeros((4, 2)))
 
 
+def test_fuse_rejects_labels_without_a_labeled_vertex():
+    # used to return a 3 x 2 zero embedding
+    with pytest.raises(ValueError, match="no training labels"):
+        fuse(GraphCollection((EdgeList([0, 1], [1, 2], n=3),)), as_labels([0, 0, 0], K=2))
+
+
 def test_embed_zero_encoder_is_zero():
     # with an all-zero W (every label unknown) the product is identically zero
     e = EdgeList([0, 1], [1, 2], n=3)

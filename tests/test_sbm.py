@@ -3,11 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from gfee import (
     BlockSpec,
     DegreeLaw,
+    LabelVector,
     coincident_groups,
     is_identifiable,
     named_spec,
@@ -18,7 +20,7 @@ from gfee import (
 )
 from gfee.sbm import _bernoulli_indices, _unrank_triu
 
-from helpers import empirical_block_density, sample_pairwise, to_adjacency
+from helpers import coincident_groups_loop, empirical_block_density, sample_pairwise, to_adjacency
 
 
 def test_named_specs():
@@ -153,11 +155,59 @@ def test_dcsbm_probability_overflow():
         sample_graph(y, [[0.5]], np.full(10, 2.0), 18)
 
 
+def test_sample_graph_rejects_a_block_matrix_of_the_wrong_size():
+    # a 2 x 2 B on 3-class labels used to leave every class-3 vertex without edges
+    with pytest.raises(ValueError, match="expected K x K"):
+        sample_graph(LabelVector([1, 2, 3, 3, 3, 1, 2], 3), np.full((2, 2), 1.0), rng=0)
+
+
+@pytest.mark.parametrize("B", [[[0, 0.5], [0, 0]], [[0, 0], [0.5, 0]]])
+def test_sample_graph_rejects_an_asymmetric_block_matrix(B):
+    # only the upper triangle was read: 19,998 edges one way round, 0 the other
+    with pytest.raises(ValueError, match="not symmetric"):
+        sample_graph(LabelVector(np.repeat([1, 2], 200), 2), B, rng=0)
+
+
+@pytest.mark.parametrize("entry", [1.5, -0.5, np.nan])
+def test_sample_graph_rejects_block_entries_outside_unit_interval(entry):
+    # 1.5 used to act as 1 and -0.5 as 0
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        sample_graph(LabelVector([1, 1, 2, 2], 2), [[entry, 0.1], [0.1, 0.2]], rng=0)
+
+
+@pytest.mark.parametrize("size", [2, 10])
+def test_sample_graph_rejects_theta_of_the_wrong_length(size):
+    # 10 entries for 4 vertices used the first 4; 2 entries raised a bare IndexError
+    with pytest.raises(ValueError, match="theta has shape"):
+        sample_graph(LabelVector([1, 1, 2, 2], 2), [[0.5, 0.1], [0.1, 0.5]],
+                     np.full(size, 0.5), 0)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_sample_graph_rejects_negative_or_non_finite_theta(value):
+    # theta = -1 gave the edges of theta = +1; NaN failed inside the sampler
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sample_graph(LabelVector([1, 1, 2, 2], 2), [[0.5, 0.1], [0.1, 0.5]],
+                     np.full(4, value), 0)
+
+
 def test_unrank_triu_matches_enumeration():
-    for m in (2, 3, 7, 20, 41):
+    for m in range(2, 61):
         pairs = list(combinations(range(m), 2))
         a, b = _unrank_triu(np.arange(len(pairs)), m)
         assert list(zip(a.tolist(), b.tolist())) == pairs
+
+
+def test_unrank_triu_large_m_satisfies_row_bounds():
+    m = 10 ** 5
+    total = m * (m - 1) // 2
+    t = np.concatenate([[0, total - 1], np.random.default_rng(3).integers(0, total, 10 ** 5)])
+    a, b = _unrank_triu(t, m)
+    rows = np.arange(m + 1, dtype=np.int64)
+    starts = rows * (2 * m - rows - 1) // 2  # rank of the first pair in each row
+    assert np.all((starts[a] <= t) & (t < starts[a + 1]))
+    assert np.all((0 <= a) & (a < b) & (b < m))
+    assert np.array_equal(b - a - 1, t - starts[a])
 
 
 def test_bernoulli_indices_statistics():
@@ -249,6 +299,41 @@ def test_identifiability_sim1_single_graph():
     assert set(witness) <= {2, 3, 4}
     groups = coincident_groups([spec.blocks[0]])
     assert groups == [(2, 3, 4)]
+
+
+@st.composite
+def _block_lists(draw):
+    """K x K block lists (K in 0..8, M in 1..3) whose rows are drawn, or
+    copied, rescaled or nudged within the tolerance from an earlier row, so
+    that coincident and chained groups occur."""
+    K, M = draw(st.integers(0, 8)), draw(st.integers(1, 3))
+    entries = st.floats(0.0, 1.0, allow_subnormal=False)
+    blocks = [np.array(draw(st.lists(entries, min_size=K * K, max_size=K * K))).reshape(K, K)
+              for _ in range(M)]
+    for k in range(1, K):
+        op = draw(st.sampled_from(["draw", "copy", "scale", "nudge", "zero"]))
+        if op == "draw":
+            continue
+        src = draw(st.integers(0, k - 1))
+        for B in blocks:
+            if op == "copy":
+                B[k] = B[src]
+            elif op == "scale":
+                B[k] = B[src] * draw(st.floats(0.1, 10.0))
+            elif op == "nudge":
+                shift = draw(st.lists(st.floats(-9e-10, 9e-10), min_size=K, max_size=K))
+                B[k] = B[src] + np.array(shift) * np.linalg.norm(B[src])
+            else:
+                B[k] = 0.0
+    return blocks
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_block_lists())
+def test_coincident_groups_match_merge_loop(blocks):
+    groups = coincident_groups(blocks)
+    assert groups == coincident_groups_loop(blocks)
+    assert all(type(k) is int for g in groups for k in g)
 
 
 def test_identifiability_proportional_rows():
