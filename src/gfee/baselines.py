@@ -37,14 +37,10 @@ def _require_symmetric(collection: GraphCollection, method: str) -> None:
             raise ValueError(f"{method} needs undirected graphs; graph {m} is directed")
 
 
-def _fix_signs(U: np.ndarray, V: np.ndarray | None = None):
-    """Flip columns so each vector's largest-magnitude coordinate is positive."""
-    flips = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
-    flips[flips == 0] = 1.0
-    U = U * flips
-    if V is None:
-        return U
-    return U, V * flips
+def _signs(U: np.ndarray) -> np.ndarray:
+    """Per column of unit vectors, the sign (never 0) of its largest-magnitude
+    entry; multiplying by it makes that entry positive."""
+    return np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
 
 
 def _truncate_rank(vals: np.ndarray, d: int, what: str) -> int:
@@ -78,7 +74,8 @@ def top_eigenpairs(A, d: int):
     order = np.argsort(-np.abs(vals), kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     d = _truncate_rank(vals, d, "eigendecomposition")
-    return vals[:d], _fix_signs(vecs[:, :d])
+    vecs = vecs[:, :d]
+    return vals[:d], vecs * _signs(vecs)
 
 
 def truncated_svd(X, d: int):
@@ -98,8 +95,8 @@ def truncated_svd(X, d: int):
         order = np.argsort(-s)
         U, s, Vt = U[:, order], s[order], Vt[order]
     d = _truncate_rank(s, d, "SVD")
-    U, V = _fix_signs(U[:, :d], Vt[:d].T)
-    return U, s[:d], V
+    flips = _signs(U[:, :d])
+    return U[:, :d] * flips, s[:d], Vt[:d].T * flips
 
 
 def _scale(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -160,17 +157,17 @@ def use_embed(collection: GraphCollection, d: int) -> np.ndarray:
     return _scale(V, s).reshape(len(As), n, -1).transpose(1, 0, 2).reshape(n, -1)
 
 
-def sweep_embeddings(method: str, collection: GraphCollection, d_max: int = 30):
-    """One decomposition at d_max; returns (E, G), where the prefix-d vertex
-    representation for any d <= E.shape[1] // G is the first d columns of
-    each of E's G equal-width column groups."""
+def sweep_embeddings(method: str, collection: GraphCollection, d_max: int = 30) -> np.ndarray:
+    """One decomposition at d_max, as an n x G x D array whose prefix-d vertex
+    representation is E[:, :, :d]: G is M for USE, one block per graph, and 1
+    for omnibus (the vertex mean) and MASE."""
+    n, M = collection.n, collection.M
     if method == "omnibus":
-        stacked = omnibus_embed(collection, min(d_max, collection.M * collection.n))
-        return stacked.reshape(collection.M, collection.n, -1).mean(axis=0), 1
+        return omnibus_embed(collection, min(d_max, M * n)).reshape(M, n, 1, -1).mean(axis=0)
     if method == "mase":
-        return mase_embed(collection, d_max), 1
+        return mase_embed(collection, d_max)[:, None]
     if method == "use":
-        return use_embed(collection, min(d_max, collection.n)), collection.M
+        return use_embed(collection, min(d_max, n)).reshape(n, M, -1)
     raise ValueError(f"unknown spectral method: {method!r}")
 
 
@@ -181,13 +178,12 @@ def best_d_error(method: str, collection: GraphCollection, labels: LabelVector,
     (every graph empty) leaves no d to sweep and raises ValueError."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    E, G = sweep_embeddings(method, collection, d_max)
-    if E.shape[1] == 0:
+    E = sweep_embeddings(method, collection, d_max)
+    if E.shape[2] == 0:
         raise ValueError(f"{method}: numerical rank 0, so no dimension d to sweep")
-    groups = E.reshape(len(E), G, -1)
     best_d, best_report = None, None
-    for d in range(1, min(d_max, groups.shape[2]) + 1):
-        report = cross_validate_embedding(groups[:, :, :d].reshape(len(E), -1), labels, protocol)
+    for d in range(1, min(d_max, E.shape[2]) + 1):
+        report = cross_validate_embedding(E[:, :, :d].reshape(len(E), -1), labels, protocol)
         if best_report is None or report.mean_error < best_report.mean_error:
             best_d, best_report = d, report
     return best_d, best_report

@@ -154,11 +154,11 @@ def _look_ahead(fn, items: list, jobs: int | None):
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(fn, x) for x in items[:workers])
-        for x in items[workers:]:
-            done = pending.popleft().result()
+        pending = deque()
+        for x in items:
             pending.append(pool.submit(fn, x))
-            yield done
+            if len(pending) > workers:
+                yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
 
@@ -195,16 +195,15 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
                                  f"in fold {f + 1} of replicate {r + 1}")
             # a class whose every labeled vertex is in the test fold
             short_folds += int((np.bincount(y[test], minlength=K + 1)[1:] == counts).any())
-            tasks.append((r, f, assign))
+            tasks.append((r, f, test))
     per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
     wrong = np.zeros(protocol.replicates, dtype=np.int64)
     confusion = np.zeros((K, K), dtype=np.int64)
     # closing() shuts the pool down here, also when kNN raises
-    with closing(_look_ahead(lambda task: embed_for_fold(task[2] == task[1]),
-                             tasks, jobs)) as embedded:
-        for (r, f, assign), points in zip(tasks, embedded):
-            test = assign == f
-            train = (assign >= 0) & ~test
+    with closing(_look_ahead(lambda task: embed_for_fold(task[2]), tasks, jobs)) as embedded:
+        for (r, f, test), points in zip(tasks, embedded):
+            # stratified_folds gives a fold to every labeled vertex and no other
+            train = (y > 0) & ~test
             preds = _knn_batch(points[train], y[train], points[test], k, K)
             truth = y[test]
             confusion += np.bincount((truth - 1) * K + preds - 1, minlength=K * K).reshape(K, K)

@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except (_ValidationFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - unexpected runtime failure
+    except Exception as exc:  # an unexpected runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,11 @@ def _whole(a, what: str) -> np.ndarray:
     return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
+def _is_number(value) -> bool:
+    """Whether a value read from JSON is a number; true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Make an array read-only and return it. Value types store their arrays
     through this, so an input ndarray that needs no conversion is kept, not

@@ -19,13 +19,20 @@ from .graph import (
     DenseGraph,
     EdgeList,
     GraphCollection,
+    _is_number,
     as_labels,
     read_edgelist,
     read_labels,
     read_vertex_ids,
 )
 
-def _pairwise_distance(X: np.ndarray, metric: str) -> np.ndarray:
+def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
+    """Similarity matrix S = 1 - D from pairwise attribute distances.
+
+    Similarities may go negative for either metric: cosine distances lie in
+    [0, 2], so S reaches -1 for opposite vectors, and Euclidean distances are
+    not rescaled. Negative entries are passed through with a warning.
+    """
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("attribute matrix has non-finite entries")
@@ -51,17 +58,7 @@ def _pairwise_distance(X: np.ndarray, metric: str) -> np.ndarray:
         raise ValueError(f"unknown metric: {metric!r}")
     if not np.isfinite(D).all():
         raise ValueError("non-finite pairwise distances")
-    return D
-
-
-def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
-    """Similarity matrix S = 1 - D from pairwise attribute distances.
-
-    Similarities may go negative for either metric: cosine distances lie in
-    [0, 2], so S reaches -1 for opposite vectors, and Euclidean distances are
-    not rescaled. Negative entries are passed through with a warning.
-    """
-    S = 1.0 - _pairwise_distance(X, metric)
+    S = 1.0 - D
     if S.min() < 0:
         warnings.warn(
             f"similarity matrix contains negative entries (min {S.min():.4g})"
@@ -129,7 +126,8 @@ def load_manifest(path):
                     {"edgelist": file, "directed"?, "simple"?, "binarize"?: thr,
                      "ids"?: file}
                     {"attributes": file, "metric": "cosine"|"euclidean"}
-    File paths are resolved relative to the manifest.
+    Every file is a JSON string, resolved relative to the manifest; thr is a
+    number, not a boolean.
     """
     path = Path(path)
     try:
@@ -143,7 +141,11 @@ def load_manifest(path):
             raise ValueError(f"{path}: manifest has no {key!r} key")
     if not (isinstance(spec["graphs"], list) and all(isinstance(e, dict) for e in spec["graphs"])):
         raise ValueError(f"{path}: manifest 'graphs' must be a list of objects")
-    base = path.parent
+
+    def path_of(obj, key):
+        if not isinstance(obj[key], str):
+            raise ValueError(f"{path}: {key!r} must be a file name string, got {obj[key]!r}")
+        return path.parent / obj[key]
 
     graphs, id_lists = [], []
     for entry in spec["graphs"]:
@@ -152,21 +154,22 @@ def load_manifest(path):
             for key, value in flags.items():
                 if not isinstance(value, bool):
                     raise ValueError(f"{path}: {key!r} must be true or false, got {value!r}")
-            g = read_edgelist(base / entry["edgelist"], **flags)
+            g = read_edgelist(path_of(entry, "edgelist"), **flags)
             if "binarize" in entry:
-                if not isinstance(entry["binarize"], (int, float)):
-                    raise ValueError(f"{path}: 'binarize' must be a number, "
-                                     f"got {entry['binarize']!r}")
-                g = binarize(g, entry["binarize"])
+                threshold = entry["binarize"]
+                if not _is_number(threshold):
+                    raise ValueError(f"{path}: 'binarize' must be a number, got {threshold!r}")
+                g = binarize(g, threshold)
         elif "attributes" in entry:
             metric = entry.get("metric", "cosine")
             if metric not in ("cosine", "euclidean"):
                 raise ValueError(f"{path}: unknown metric: {metric!r}")
-            g = attributes_to_similarity_matrix(read_attributes(base / entry["attributes"]), metric)
+            X = read_attributes(path_of(entry, "attributes"))
+            g = attributes_to_similarity_matrix(X, metric)
         else:
             raise ValueError(f"{path}: manifest graph entry needs 'edgelist' or 'attributes'")
         graphs.append(g)
-        id_lists.append(read_vertex_ids(base / entry["ids"]) if "ids" in entry else None)
+        id_lists.append(read_vertex_ids(path_of(entry, "ids")) if "ids" in entry else None)
 
     with_ids = [ids is not None for ids in id_lists]
     if any(with_ids):
@@ -176,11 +179,11 @@ def load_manifest(path):
     else:
         collection, common = GraphCollection(tuple(graphs)), None
 
-    labels = read_labels(base / spec["labels"])
+    labels = read_labels(path_of(spec, "labels"))
     if common is not None:
         if "label_ids" not in spec:
             raise ValueError(f"{path}: label_ids required when graphs carry ids")
-        label_ids = read_vertex_ids(base / spec["label_ids"])
+        label_ids = read_vertex_ids(path_of(spec, "label_ids"))
         if len(label_ids) != labels.n:
             raise ValueError(f"{path}: label_ids length does not match labels")
         by_id = dict(zip(label_ids, labels.y))

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embedding import row_normalize
-from .graph import EdgeList, GraphCollection, LabelVector, _frozen
+from .graph import EdgeList, GraphCollection, LabelVector, _frozen, _is_number
 
 # normalized block rows coincide when no entry differs by more than this
 _COINCIDE_TOL = 1e-9
@@ -104,10 +104,13 @@ class BlockSpec:
         obj = json.loads(text)
         if not isinstance(obj, dict) or not {"priors", "blocks"} <= obj.keys():
             raise ValueError("spec must be a JSON object with 'priors' and 'blocks'")
+        if not isinstance(obj["blocks"], list):
+            raise ValueError(f"'blocks' must be a list of block matrices, got {obj['blocks']!r}")
         law = obj.get("degree_law")
         if law and not (isinstance(law, dict) and law.get("kind") == "uniform"
-                        and {"a", "b"} <= law.keys()):
-            raise ValueError(f"degree_law must be uniform with 'a' and 'b', got {law!r}")
+                        and {"a", "b"} <= law.keys()
+                        and all(_is_number(law[key]) for key in ("a", "b"))):
+            raise ValueError(f"degree_law must be uniform with numbers 'a' and 'b', got {law!r}")
         degree_law = DegreeLaw(law["a"], law["b"]) if law else None
         spec = cls(priors=obj["priors"], blocks=obj["blocks"], degree_law=degree_law)
         if "K" in obj and obj["K"] != spec.K:
@@ -248,10 +251,15 @@ def sample_collection(spec: BlockSpec, n: int, seed):
 def normalized_blocks(spec_or_blocks) -> np.ndarray:
     """Row-normalize each block matrix and concatenate horizontally (K x MK).
 
-    All-zero rows are left zero.
+    All-zero rows are left zero. Raw blocks need not be symmetric, but must
+    be square and all of one size.
     """
     blocks = spec_or_blocks.blocks if isinstance(spec_or_blocks, BlockSpec) else spec_or_blocks
-    return np.hstack([row_normalize(np.array(B, dtype=np.float64)) for B in blocks])
+    blocks = [np.array(B, dtype=np.float64) for B in blocks]
+    shapes = [B.shape for B in blocks]
+    if len(set(shapes)) > 1 or any(len(s) != 2 or s[0] != s[1] for s in shapes):
+        raise ValueError(f"block matrices must be square and of one size, got shapes {shapes}")
+    return np.hstack([row_normalize(B) for B in blocks])
 
 
 def is_identifiable(spec_or_blocks):

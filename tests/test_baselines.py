@@ -194,7 +194,7 @@ def test_all_methods_agree_for_single_graph():
         BlockSpec(priors=[0.5, 0.5], blocks=[[[0.15, 0.1], [0.1, 0.15]]]), 400, 33)
     proto = EvalProtocol(folds=5, replicates=3, seed=5)
     errors = [
-        cross_validate_embedding(bl.sweep_embeddings(m, coll, 2)[0], y, proto).mean_error
+        cross_validate_embedding(bl.sweep_embeddings(m, coll, 2)[:, 0], y, proto).mean_error
         for m in ("omnibus", "use")
     ]
     errors.append(
@@ -259,14 +259,14 @@ def test_best_d_at_n_below_d_max(method):
 def test_sweep_prefix_matches_direct():
     rng = np.random.default_rng(13)
     coll = GraphCollection(tuple(random_graph(rng, 40, density=0.3) for _ in range(2)))
-    E, G = bl.sweep_embeddings("omnibus", coll, 6)
+    E = bl.sweep_embeddings("omnibus", coll, 6)
     direct = omnibus_embed(coll, 3).reshape(2, 40, -1).mean(axis=0)
-    assert G == 1 and np.allclose(E[:, :3], direct, atol=1e-9)
-    # USE: the prefix-3 representation is the first 3 columns of each graph's group
-    E, G = bl.sweep_embeddings("use", coll, 6)
-    assert G == 2 and E.shape == (40, 12)
+    assert E.shape == (40, 1, 6) and np.allclose(E[:, 0, :3], direct, atol=1e-9)
+    # USE: the prefix-3 representation is the first 3 columns of each graph's block
+    E = bl.sweep_embeddings("use", coll, 6)
+    assert E.shape == (40, 2, 6)
     direct = use_embed(coll, 3)
-    assert np.allclose(np.hstack([E[:, :3], E[:, 6:9]]), direct, atol=1e-9)
+    assert np.allclose(E[:, :, :3].reshape(40, -1), direct, atol=1e-9)
 
 
 def test_best_d_rejects_d_max_below_one():
@@ -303,3 +303,17 @@ def test_eigendecomposing_methods_reject_directed_graphs(method):
     S[0, 1] += 1e-14  # symmetric within rounding
     assert embed(GraphCollection((undirected, DenseGraph(S))), 3).shape[1] == 3
     assert use_embed(GraphCollection((undirected, directed)), 3).shape == (60, 6)
+
+
+def test_decompositions_reject_dimensions_out_of_range():
+    A = np.eye(4)
+    with pytest.raises(ValueError, match=r"d must be in 1\.\.4"):
+        top_eigenpairs(A, 0)
+    with pytest.raises(ValueError, match=r"d must be in 1\.\.3"):
+        truncated_svd(np.ones((3, 5)), 4)
+
+
+def test_sweep_rejects_unknown_method():
+    coll = GraphCollection((EdgeList([0, 1], [1, 2], n=3),))
+    with pytest.raises(ValueError, match="unknown spectral method: 'pca'"):
+        bl.sweep_embeddings("pca", coll, 2)

@@ -147,6 +147,16 @@ def test_protocol_validation():
         EvalProtocol(seed=-1)
 
 
+def test_protocol_rejects_neighbor_count_below_one():
+    with pytest.raises(ValueError, match="neighbor_count must be >= 1"):
+        EvalProtocol(neighbor_count=0)
+
+
+def test_knn_rejects_unlabeled_training_points():
+    with pytest.raises(ValueError, match=r"training labels must be in 1\.\.K"):
+        knn_predict([(0, 0), (1, 1)], [1, 0], (0, 0), k=1)
+
+
 def test_stratified_folds_balanced():
     rng = np.random.default_rng(0)
     y = np.array([1] * 20 + [2] * 10 + [0] * 5)
@@ -330,6 +340,12 @@ def test_cv_embedding_rejects_points_that_are_not_a_matrix(shape):
     # 1-D points used to fail in _knn_batch with numpy's AxisError
     with pytest.raises(ValueError, match="n x d array"):
         cross_validate_embedding(np.arange(20.0).reshape(shape), as_labels([1, 2] * 10),
+                                 EvalProtocol(folds=2, replicates=1))
+
+
+def test_cv_embedding_rejects_a_label_per_point_mismatch():
+    with pytest.raises(ValueError, match="points/labels length mismatch"):
+        cross_validate_embedding(np.zeros((3, 2)), as_labels([1, 2]),
                                  EvalProtocol(folds=2, replicates=1))
 
 

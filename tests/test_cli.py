@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gfee
-from gfee import load_binary
+from gfee import cli, load_binary
 from gfee.cli import main
 
 
@@ -266,10 +266,24 @@ EDGES = {"edgelist": "g1.txt"}
     ("spec.json", [SPEC]),
     ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": 0.1}}),
     ("spec.json", "{not json"),
+    # values of the wrong JSON type: binarize true thresholded at 1.0 without a
+    # word, and the others exited 1 with a TypeError that did not name the file
+    ("manifest.json", {"graphs": [{**EDGES, "binarize": True}], "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": [{"edgelist": 5}], "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": [{"attributes": 7}], "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": [{**EDGES, "ids": 5}], "labels": "labels.txt"}),
+    ("manifest.json", {"graphs": [EDGES], "labels": ["labels.txt"]}),
+    # attrs.csv has 4 distinct lines, so it serves as g1's vertex ids
+    ("manifest.json", {"graphs": [{**EDGES, "ids": "attrs.csv"}], "labels": "labels.txt",
+                       "label_ids": 5}),
+    ("spec.json", {**SPEC, "blocks": 5}),
+    ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": "x", "b": 1}}),
+    ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": True, "b": 1}}),
 ], ids=["graphs-object", "graphs-string-entry", "binarize-string", "manifest-not-json",
         "simple-string", "directed-string", "unknown-metric",
         "attributes-not-numbers", "spec-no-priors", "spec-list", "degree-law-no-b",
-        "spec-not-json"])
+        "spec-not-json", "binarize-true", "edgelist-int", "attributes-int", "ids-int",
+        "labels-list", "label-ids-int", "blocks-int", "degree-law-string", "degree-law-bool"])
 def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, content):
     bad = tiny_dataset / name
     bad.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -283,6 +297,16 @@ def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, c
                 "--out", str(tiny_dataset / "x.csv")]
     assert main(args) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_unexpected_runtime_failure_exits_1(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver diverged")
+
+    monkeypatch.setattr(cli, "run_baseline", broken)
+    assert main(["baseline", "--sim", "sim1", "--method", "gfee", "--n-grid", "60",
+                 "--seed", "1"]) == 1
+    assert "error: solver diverged" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["embed", "evaluate", "simulate", "verify", "baseline"])

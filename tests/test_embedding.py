@@ -81,6 +81,14 @@ def test_fuse_rejects_labels_without_a_labeled_vertex():
         fuse(GraphCollection((EdgeList([0, 1], [1, 2], n=3),)), as_labels([0, 0, 0], K=2))
 
 
+def test_encoder_and_embedding_reject_bad_shapes():
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        build_encoder(as_labels([0, 0]))
+    e = EdgeList([0, 1], [1, 2], n=3)
+    with pytest.raises(ValueError, match="graph and encoder disagree on vertex count"):
+        embed_graph(e, np.zeros((4, 2)))
+
+
 def test_embed_zero_encoder_is_zero():
     # with an all-zero W (every label unknown) the product is identically zero
     e = EdgeList([0, 1], [1, 2], n=3)

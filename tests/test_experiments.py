@@ -16,6 +16,7 @@ from gfee import (
     write_gnuplot,
     write_table,
 )
+from gfee import experiments
 
 SIM1 = named_spec("sim1")
 CONFUSABLE = BlockSpec(
@@ -142,3 +143,17 @@ def test_write_gnuplot(tmp_path):
     assert one[1] == "100 0.5 0.01"
     assert one[2] == "200 0.4 0.01"
     assert (tmp_path / "subset_1-2.dat").exists()
+
+
+def test_code_version_falls_back_when_git_cannot_run(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise OSError("git: not found")
+
+    def not_installed(name):
+        raise experiments.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(experiments.subprocess, "run", no_git)
+    monkeypatch.setattr(experiments.metadata, "version", lambda name: "9.9")
+    assert experiments.code_version() == "gfee-9.9"
+    monkeypatch.setattr(experiments.metadata, "version", not_installed)
+    assert experiments.code_version() == "unknown"

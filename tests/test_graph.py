@@ -75,7 +75,9 @@ def test_validate_is_pure():
     ([0, 1], [1, 2], [1.0, np.nan], "non-finite"),
     ([0.5, 1.9], [1.7, 2.2], [1.0, 1.0], "whole numbers"),  # would truncate to [0, 1], [1, 2]
     ([0, np.nan], [1, 2], [1.0, 1.0], "whole numbers"),
-], ids=["index-too-large", "negative-index", "nan-weight", "fractional-index", "nan-index"])
+    ([0, 1], [1], [1.0, 1.0], "u, v, w must have equal length"),
+], ids=["index-too-large", "negative-index", "nan-weight", "fractional-index", "nan-index",
+        "unequal-lengths"])
 def test_edgelist_rejects_bad_edges(u, v, w, match):
     with pytest.raises(ValueError, match=match):
         EdgeList(np.array(u), np.array(v), np.array(w), n=4, directed=True)
@@ -109,6 +111,11 @@ def test_fractional_indices_and_labels_rejected_by_builders():
 def test_dense_graph_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         DenseGraph(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
+
+def test_dense_graph_rejects_non_square_matrix():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        DenseGraph(np.ones((2, 3)))
 
 
 def test_to_adjacency_single_edge_symmetric():

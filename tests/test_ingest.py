@@ -65,6 +65,14 @@ def test_similarity_rejects_non_finite():
         attributes_to_similarity_matrix(np.ones((2, 2)), "manhattan")
 
 
+def test_similarity_rejects_distances_that_overflow():
+    X = np.array([[1e200, 0.0], [0.0, 1e200]])
+    # the squares overflow to inf and inf - inf is NaN; numpy warns on both
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite pairwise distances"):
+        attributes_to_similarity_matrix(X, "euclidean")
+
+
 @pytest.mark.filterwarnings("ignore:similarity matrix contains negative")
 def test_dense_fast_path_matches_edgelist_embedding():
     rng = np.random.default_rng(1)
@@ -109,6 +117,17 @@ def test_intersect_disjoint_errors():
     g = EdgeList([0], [1], n=2)
     with pytest.raises(ValueError, match="empty"):
         intersect_vertices([g, g], [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("id_lists, match", [
+    ([[1, 2]], "one id list per graph required"),
+    ([[1, 2], [1, 2, 3]], "id list length does not match vertex count"),
+    ([[1, 2], [2, 2]], "duplicate vertex id within a graph"),
+], ids=["too-few-lists", "wrong-length", "duplicate-id"])
+def test_intersect_rejects_bad_id_lists(id_lists, match):
+    g = EdgeList([0], [1], n=2)
+    with pytest.raises(ValueError, match=match):
+        intersect_vertices([g, g], id_lists)
 
 
 def test_intersect_overlapping_sets():
@@ -273,6 +292,8 @@ def test_manifest_attributes_with_ids(tmp_path):
     ({"graphs": [{"edgelist": "g1.txt"}]}, "no 'labels' key"),
     ({"labels": "labels.txt"}, "no 'graphs' key"),
     ([{"edgelist": "g1.txt"}], "must be a JSON object"),
+    ({"graphs": [{"metric": "cosine"}], "labels": "labels.txt"},
+     "needs 'edgelist' or 'attributes'"),
 ])
 def test_manifest_shape_errors_name_file(tmp_path, manifest, match):
     # these used to surface as a bare KeyError or TypeError

@@ -52,6 +52,20 @@ def test_blockspec_validation():
         BlockSpec(priors=[1.0], blocks=[[[0.2]]], degree_law=DegreeLaw(1.0, 3.0))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: DegreeLaw(0.0, 1.0), r"0 < a <= b"),
+    (lambda: BlockSpec(priors=[0.0, 1.0], blocks=[np.eye(2) * 0.1]),
+     r"each prior must lie in \(0, 1\)"),
+    (lambda: BlockSpec(priors=[0.5, 0.5], blocks=[]), "at least one block matrix required"),
+    (lambda: BlockSpec.from_json(json.dumps({"K": 3, "priors": [0.5, 0.5],
+                                             "blocks": [[[0.1, 0.1], [0.1, 0.1]]]})),
+     "K field disagrees with priors length"),
+], ids=["degree-law-a-zero", "prior-zero", "no-blocks", "json-K-disagrees"])
+def test_spec_rejects_values_outside_its_model(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_blockspec_json_round_trip():
     spec = named_spec("sim2")
     back = BlockSpec.from_json(spec.to_json())
@@ -147,6 +161,11 @@ def test_dcsbm_low_theta_vertex_degree_ratio():
         deg0 += deg[0]
         degrest += deg[1:].mean()
     assert abs(deg0 / degrest - 0.25) < 0.04  # 0.1 / 0.4
+
+
+def test_sample_graph_rejects_unknown_labels():
+    with pytest.raises(ValueError, match=r"generator labels must all be known \(1\.\.K\)"):
+        sample_graph(LabelVector([1, 0, 2], K=2), np.full((2, 2), 0.1), rng=1)
 
 
 def test_dcsbm_probability_overflow():
@@ -285,6 +304,20 @@ def test_normalized_blocks_equal_entries_row():
 def test_normalized_blocks_zero_row():
     out = normalized_blocks([np.zeros((2, 2))])
     assert np.array_equal(out, np.zeros((2, 4 // 2)))
+
+
+@pytest.mark.parametrize("blocks", [[np.ones((2, 3))], [np.ones((2, 2)), np.ones((3, 3))],
+                                    [np.ones(3)]], ids=["non-square", "two-sizes", "one-d"])
+def test_block_algebra_rejects_blocks_that_are_not_square_and_of_one_size(blocks):
+    # a 2 x 3 block was read as 2 classes; blocks of sizes 2 and 3 failed in hstack
+    for check in (normalized_blocks, coincident_groups, is_identifiable):
+        with pytest.raises(ValueError, match="must be square and of one size"):
+            check(blocks)
+
+
+def test_block_algebra_accepts_empty_blocks():
+    assert normalized_blocks([np.zeros((0, 0))]).shape == (0, 0)
+    assert coincident_groups([np.zeros((0, 0)), np.zeros((0, 0))]) == []
 
 
 def test_identifiability_sim1():
