@@ -33,7 +33,6 @@ from .sbm import (
     BlockSpec,
     DegreeLaw,
     coincident_groups,
-    is_identifiable,
     named_spec,
     normalized_blocks,
     sample_collection,

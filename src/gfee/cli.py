@@ -132,9 +132,9 @@ def _add_io_flags(p):
     p.add_argument("--simple", action="store_true", help="drop self-loops with a warning")
 
 
-def _add_protocol_flags(p, folds=5, replicates=20):
+def _add_protocol_flags(p, folds=5):
     p.add_argument("--folds", type=int, default=folds)
-    p.add_argument("--replicates", type=int, default=replicates)
+    p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--knn", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=os.cpu_count(),

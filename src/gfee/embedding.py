@@ -74,7 +74,7 @@ def export_binary(Z: np.ndarray, path) -> None:
     float64 data in column-major order."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", *Z.shape))
-        fh.write(np.asfortranarray(Z, dtype="<f8").tobytes(order="F"))
+        fh.write(np.asarray(Z, dtype="<f8").tobytes(order="F"))
 
 
 def load_binary(path) -> np.ndarray:

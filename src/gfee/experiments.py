@@ -9,6 +9,7 @@ reproduce tables byte for byte on one platform.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import subprocess
 import time
 from importlib import metadata
@@ -57,8 +58,7 @@ def _draw_seed(seed: int, *key: int) -> np.random.SeedSequence:
 
 def _inner_protocol(protocol: EvalProtocol, *key: int) -> EvalProtocol:
     fold_seed = int(_draw_seed(protocol.seed, *key, 7).generate_state(1)[0])
-    return EvalProtocol(folds=protocol.folds, replicates=1,
-                        neighbor_count=protocol.neighbor_count, seed=fold_seed)
+    return dataclasses.replace(protocol, replicates=1, seed=fold_seed)
 
 
 def class_mean_deviation(spec: BlockSpec, n: int, seed) -> float:

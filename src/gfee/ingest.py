@@ -37,22 +37,29 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
     if not np.isfinite(X).all():
         raise ValueError("attribute matrix has non-finite entries")
     if metric == "cosine":
-        norms = np.linalg.norm(X, axis=1)
-        zero = norms == 0
-        safe = np.where(zero, 1.0, norms)
+        zero = ~X.any(axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(X, axis=1)
+        # a row whose squared norm is not a normal float is scaled to a largest entry of 1 first
+        rescale = ~zero & ((norms < np.sqrt(np.finfo(np.float64).tiny)) | np.isinf(norms))
+        # zero attribute rows are maximally distant from everything, themselves
+        # included: they stay zero unit rows, whose distances are all 1
+        safe = np.where(zero | rescale, 1.0, norms)
         unit = X / safe[:, None]
+        if rescale.any():
+            Xs = X[rescale] / np.abs(X[rescale]).max(axis=1, keepdims=True)
+            unit[rescale] = Xs / np.linalg.norm(Xs, axis=1, keepdims=True)
         D = 1.0 - unit @ unit.T
         np.clip(D, 0.0, 2.0, out=D)
-        # zero attribute rows are maximally distant from everything, themselves included
-        D[zero, :] = 1.0
-        D[:, zero] = 1.0
         D = 0.5 * (D + D.T)
         np.fill_diagonal(D, np.where(zero, 1.0, 0.0))
     elif metric == "euclidean":
-        sq = (X ** 2).sum(axis=1)
-        D2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-        np.maximum(D2, 0.0, out=D2)
-        D = np.sqrt(0.5 * (D2 + D2.T))
+        # overflowing squares end as a non-finite distance, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = (X ** 2).sum(axis=1)
+            D2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+            np.maximum(D2, 0.0, out=D2)
+            D = np.sqrt(0.5 * (D2 + D2.T))
         np.fill_diagonal(D, 0.0)
     else:
         raise ValueError(f"unknown metric: {metric!r}")
@@ -69,8 +76,7 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
 def binarize(e: EdgeList, threshold: float = 0.0) -> EdgeList:
     """Weights above the threshold become 1; others are dropped."""
     keep = e.w > threshold
-    return EdgeList(e.u[keep], e.v[keep], np.ones(int(keep.sum())),
-                    n=e.n, directed=e.directed)
+    return EdgeList(e.u[keep], e.v[keep], n=e.n, directed=e.directed)
 
 
 def intersect_vertices(graphs, id_lists):
@@ -127,7 +133,8 @@ def load_manifest(path):
                      "ids"?: file}
                     {"attributes": file, "metric": "cosine"|"euclidean"}
     Every file is a JSON string, resolved relative to the manifest; thr is a
-    number, not a boolean.
+    number, not a boolean. An edgelist has as many vertices as its id file
+    has lines, or, without ids, as the label file has labels.
     """
     path = Path(path)
     try:
@@ -141,35 +148,38 @@ def load_manifest(path):
             raise ValueError(f"{path}: manifest has no {key!r} key")
     if not (isinstance(spec["graphs"], list) and all(isinstance(e, dict) for e in spec["graphs"])):
         raise ValueError(f"{path}: manifest 'graphs' must be a list of objects")
+    if not all("edgelist" in e or "attributes" in e for e in spec["graphs"]):
+        raise ValueError(f"{path}: manifest graph entry needs 'edgelist' or 'attributes'")
 
     def path_of(obj, key):
         if not isinstance(obj[key], str):
             raise ValueError(f"{path}: {key!r} must be a file name string, got {obj[key]!r}")
         return path.parent / obj[key]
 
+    labels = read_labels(path_of(spec, "labels"))
     graphs, id_lists = [], []
     for entry in spec["graphs"]:
+        ids = read_vertex_ids(path_of(entry, "ids")) if "ids" in entry else None
         if "edgelist" in entry:
             flags = {key: entry.get(key, False) for key in ("directed", "simple")}
             for key, value in flags.items():
                 if not isinstance(value, bool):
                     raise ValueError(f"{path}: {key!r} must be true or false, got {value!r}")
-            g = read_edgelist(path_of(entry, "edgelist"), **flags)
+            n = labels.n if ids is None else len(ids)
+            g = read_edgelist(path_of(entry, "edgelist"), n=n, **flags)
             if "binarize" in entry:
                 threshold = entry["binarize"]
                 if not _is_number(threshold):
                     raise ValueError(f"{path}: 'binarize' must be a number, got {threshold!r}")
                 g = binarize(g, threshold)
-        elif "attributes" in entry:
+        else:
             metric = entry.get("metric", "cosine")
             if metric not in ("cosine", "euclidean"):
                 raise ValueError(f"{path}: unknown metric: {metric!r}")
             X = read_attributes(path_of(entry, "attributes"))
             g = attributes_to_similarity_matrix(X, metric)
-        else:
-            raise ValueError(f"{path}: manifest graph entry needs 'edgelist' or 'attributes'")
         graphs.append(g)
-        id_lists.append(read_vertex_ids(path_of(entry, "ids")) if "ids" in entry else None)
+        id_lists.append(ids)
 
     with_ids = [ids is not None for ids in id_lists]
     if any(with_ids):
@@ -179,7 +189,6 @@ def load_manifest(path):
     else:
         collection, common = GraphCollection(tuple(graphs)), None
 
-    labels = read_labels(path_of(spec, "labels"))
     if common is not None:
         if "label_ids" not in spec:
             raise ValueError(f"{path}: label_ids required when graphs carry ids")

@@ -68,6 +68,8 @@ class BlockSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "priors", _frozen(np.asarray(self.priors, dtype=np.float64)))
+        if self.priors.ndim != 1:
+            raise ValueError(f"priors must be 1-D, got shape {self.priors.shape}")
         object.__setattr__(self, "blocks",
                            tuple(_frozen(np.asarray(B, dtype=np.float64)) for B in self.blocks))
         if not np.isclose(self.priors.sum(), 1.0):
@@ -262,21 +264,12 @@ def normalized_blocks(spec_or_blocks) -> np.ndarray:
     return np.hstack([row_normalize(B) for B in blocks])
 
 
-def is_identifiable(spec_or_blocks):
-    """Whether all rows of the normalized concatenated block matrix differ.
-
-    Returns (True, None) when coincident_groups finds no group, otherwise
-    (False, (k, l)): the first two 1-based classes of its first group.
-    """
-    groups = coincident_groups(spec_or_blocks)
-    return (False, groups[0][:2]) if groups else (True, None)
-
-
 def coincident_groups(spec_or_blocks):
     """Groups of classes (1-based, ascending, size >= 2) whose normalized rows
     coincide, ordered by their smallest class.
 
-    Vertices of classes within one group are asymptotically indistinguishable.
+    Vertices of classes within one group are asymptotically indistinguishable;
+    an empty list means every row is unique (the spec is identifiable).
     """
     Bt = normalized_blocks(spec_or_blocks)
     near = np.abs(Bt[:, None] - Bt[None]).max(axis=2, initial=0.0) <= _COINCIDE_TOL

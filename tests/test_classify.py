@@ -317,6 +317,44 @@ def test_fold_pool_runs_at_most_jobs_embeddings_at_once(jobs):
     assert report.per_fold.tobytes() == serial.per_fold.tobytes()
 
 
+@pytest.mark.parametrize("where", ["embedding", "knn"])
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_failing_fold_stops_the_pool_and_leaves_no_thread(monkeypatch, jobs, where):
+    rng = np.random.default_rng(21)
+    y = as_labels(rng.permutation([1, 2] * 20))
+    points = rng.normal(size=(40, 2))
+    proto = EvalProtocol(folds=5, replicates=4, neighbor_count=1, seed=2)
+    planned = []
+    classify._run_cv(lambda test: planned.append(test) or points, y, proto)
+    # the failing fold is the third, found by its test mask: a shared call
+    # counter would race between worker threads
+    bad = planned[2]
+    embedded = []
+
+    def embed_for_fold(test):
+        embedded.append(test)
+        if where == "embedding" and np.array_equal(test, bad):
+            raise RuntimeError("fold embedding failed")
+        return points
+
+    knn_batch_real = classify._knn_batch
+
+    def knn_batch(train_X, train_y, query_X, k, K):
+        if np.array_equal(query_X, points[bad]):
+            raise RuntimeError("fold knn failed")
+        return knn_batch_real(train_X, train_y, query_X, k, K)
+
+    if where == "knn":
+        monkeypatch.setattr(classify, "_knn_batch", knn_batch)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"fold {where} failed") as failure:
+        classify._run_cv(embed_for_fold, y, proto, jobs)
+    # counted while ``failure`` holds the traceback, and with it _run_cv's
+    # frame: the pool must be shut down by _run_cv, not by garbage collection
+    assert threading.active_count() == before
+    assert len(embedded) < len(planned) == 20
+
+
 @pytest.mark.parametrize("y", [[1, 2, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
                          ids=["fewer-than-k", "empty-training-set"])
 def test_cv_fold_with_fewer_training_points_than_k(y):

@@ -279,11 +279,15 @@ EDGES = {"edgelist": "g1.txt"}
     ("spec.json", {**SPEC, "blocks": 5}),
     ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": "x", "b": 1}}),
     ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": True, "b": 1}}),
+    # "priors": 1 exited 1 with "len() of unsized object"; 2-D priors were accepted
+    ("spec.json", {**SPEC, "priors": 1}),
+    ("spec.json", {"priors": [[0.5, 0.5]], "blocks": [[[0.1]]]}),
 ], ids=["graphs-object", "graphs-string-entry", "binarize-string", "manifest-not-json",
         "simple-string", "directed-string", "unknown-metric",
         "attributes-not-numbers", "spec-no-priors", "spec-list", "degree-law-no-b",
         "spec-not-json", "binarize-true", "edgelist-int", "attributes-int", "ids-int",
-        "labels-list", "label-ids-int", "blocks-int", "degree-law-string", "degree-law-bool"])
+        "labels-list", "label-ids-int", "blocks-int", "degree-law-string", "degree-law-bool",
+        "priors-int", "priors-2d"])
 def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, content):
     bad = tiny_dataset / name
     bad.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -297,6 +301,44 @@ def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, c
                 "--out", str(tiny_dataset / "x.csv")]
     assert main(args) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def _short_graphs(base):
+    """g1 names vertices 1..3 only, g2 all 4 labeled vertices."""
+    (base / "g1.txt").write_text("1 2\n2 3\n")
+    (base / "g2.txt").write_text("1 2\n2 3\n3 4\n")
+    (base / "labels.txt").write_text("1\n2\n1\n2\n")
+    (base / "ids.txt").write_text("a\nb\nc\nd\n")
+
+
+@pytest.mark.parametrize("graphs", [["g1.txt"], ["g1.txt", "g2.txt"]],
+                         ids=["one-graph", "two-graphs"])
+def test_manifest_reads_each_edgelist_at_the_label_count(tmp_path, capsys, graphs):
+    # a manifest read g1 at n = 3, its largest index, so both exited 2 with a
+    # label-length or vertex-count mismatch; --graphs reads at n = labels.n
+    _short_graphs(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"labels": "labels.txt",
+                                    "graphs": [{"edgelist": g} for g in graphs]}))
+    direct = ["--graphs", *(str(tmp_path / g) for g in graphs),
+              "--labels", str(tmp_path / "labels.txt")]
+    for source, out in ((["--manifest", str(manifest)], "a.bin"), (direct, "b.bin")):
+        assert main(["embed", *source, "--format", "bin", "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    assert main(["evaluate", "--manifest", str(manifest), "--folds", "2", "--replicates", "1",
+                 "--knn", "1", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith(f"n=4 M={len(graphs)} K=2")
+
+
+def test_manifest_reads_an_edgelist_with_ids_at_the_id_count(tmp_path, capsys):
+    # g1 was read at n = 3 against 4 ids: "id list length does not match vertex count"
+    _short_graphs(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "labels": "labels.txt", "label_ids": "ids.txt",
+        "graphs": [{"edgelist": g, "ids": "ids.txt"} for g in ("g1.txt", "g2.txt")]}))
+    assert main(["embed", "--manifest", str(manifest), "--out", str(tmp_path / "z.csv")]) == 0
+    assert capsys.readouterr().out.strip() == "n=4 M=2 K=2 dims=4"
 
 
 def test_unexpected_runtime_failure_exits_1(monkeypatch, capsys):

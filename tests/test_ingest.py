@@ -36,6 +36,20 @@ def test_cosine_zero_rows_maximally_distant():
     assert S[0, 0] == 1.0
 
 
+R = np.sqrt(0.5)
+
+
+@pytest.mark.parametrize("X, S", [
+    ([[1e200, 1e200], [1e200, 1.0], [0.0, 1.0]], [[1, R, R], [R, 1, 0], [R, 0, 1]]),
+    ([[1e-200, 1e-200], [1e-200, 0.0], [1.0, 1.0]], [[1, R, 1], [R, 1, R], [1, R, 1]]),
+], ids=["squares-overflow", "squares-underflow"])
+def test_cosine_rows_of_extreme_magnitude(X, S):
+    # the first came out as the identity with an overflow warning; the second
+    # took rows 0 and 1 for zero rows, so S was 0 outside S[2, 2]
+    got = attributes_to_similarity_matrix(np.array(X), "cosine").matrix
+    assert np.allclose(got, S, rtol=0, atol=1e-15)
+
+
 def test_negative_similarity_passes_with_warning():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.warns(UserWarning, match="negative"):
@@ -67,9 +81,9 @@ def test_similarity_rejects_non_finite():
 
 def test_similarity_rejects_distances_that_overflow():
     X = np.array([[1e200, 0.0], [0.0, 1e200]])
-    # the squares overflow to inf and inf - inf is NaN; numpy warns on both
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="non-finite pairwise distances"):
+    # the squares overflow to inf and inf - inf is NaN; no numpy warning may
+    # pre-empt the ValueError under warnings-as-errors
+    with pytest.raises(ValueError, match="non-finite pairwise distances"):
         attributes_to_similarity_matrix(X, "euclidean")
 
 

@@ -11,7 +11,6 @@ from gfee import (
     DegreeLaw,
     LabelVector,
     coincident_groups,
-    is_identifiable,
     named_spec,
     normalized_blocks,
     sample_collection,
@@ -60,7 +59,11 @@ def test_blockspec_validation():
     (lambda: BlockSpec.from_json(json.dumps({"K": 3, "priors": [0.5, 0.5],
                                              "blocks": [[[0.1, 0.1], [0.1, 0.1]]]})),
      "K field disagrees with priors length"),
-], ids=["degree-law-a-zero", "prior-zero", "no-blocks", "json-K-disagrees"])
+    (lambda: BlockSpec(priors=1.0, blocks=[[[0.1]]]), r"priors must be 1-D, got shape \(\)"),
+    (lambda: BlockSpec(priors=[[0.5, 0.5]], blocks=[[[0.1]]]),
+     r"priors must be 1-D, got shape \(1, 2\)"),
+], ids=["degree-law-a-zero", "prior-zero", "no-blocks", "json-K-disagrees", "priors-scalar",
+        "priors-2d"])
 def test_spec_rejects_values_outside_its_model(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -310,7 +313,7 @@ def test_normalized_blocks_zero_row():
                                     [np.ones(3)]], ids=["non-square", "two-sizes", "one-d"])
 def test_block_algebra_rejects_blocks_that_are_not_square_and_of_one_size(blocks):
     # a 2 x 3 block was read as 2 classes; blocks of sizes 2 and 3 failed in hstack
-    for check in (normalized_blocks, coincident_groups, is_identifiable):
+    for check in (normalized_blocks, coincident_groups):
         with pytest.raises(ValueError, match="must be square and of one size"):
             check(blocks)
 
@@ -321,16 +324,13 @@ def test_block_algebra_accepts_empty_blocks():
 
 
 def test_identifiability_sim1():
-    ok, witness = is_identifiable(named_spec("sim1"))
-    assert ok and witness is None
+    assert coincident_groups(named_spec("sim1")) == []
 
 
 def test_identifiability_sim1_single_graph():
     spec = named_spec("sim1")
-    ok, witness = is_identifiable([spec.blocks[0]])
-    assert not ok
-    assert set(witness) <= {2, 3, 4}
     groups = coincident_groups([spec.blocks[0]])
+    assert groups and set(groups[0][:2]) <= {2, 3, 4}
     assert groups == [(2, 3, 4)]
 
 
@@ -371,15 +371,15 @@ def test_coincident_groups_match_merge_loop(blocks):
 
 def test_identifiability_proportional_rows():
     B = np.array([[0.05, 0.15], [0.15, 0.45]])  # row2 = 3 * row1
-    ok, witness = is_identifiable([B])
-    assert not ok and witness == (1, 2)
+    groups = coincident_groups([B])
+    assert groups and groups[0][:2] == (1, 2)
 
 
 def test_identifiability_row_rescale_invariance():
     spec = named_spec("sim1")
     blocks = [B.copy() for B in spec.blocks]
     blocks[0][1, :] *= 5.0  # positive row rescale (symmetry not required here)
-    assert is_identifiable(blocks) == is_identifiable(spec.blocks)
+    assert coincident_groups(blocks) == coincident_groups(spec.blocks)
     b_single = [spec.blocks[0].copy()]
     b_single[0][2, :] *= 0.5
-    assert is_identifiable(b_single)[0] == is_identifiable([spec.blocks[0]])[0]
+    assert coincident_groups(b_single) == coincident_groups([spec.blocks[0]])
