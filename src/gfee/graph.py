@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+import weakref
 from dataclasses import KW_ONLY, dataclass
 from typing import Sequence
 
@@ -28,6 +29,33 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The dtype of vertex indices below n that the sampler and the loader
+    store: int32 when n < 2**31, else int64."""
+    return np.dtype(np.int32 if n < 2 ** 31 else np.int64)
+
+
+_unit_ref = None  # weak reference to the buffer behind every graph's unit weights
+
+
+def _unit_weights(m: int) -> np.ndarray:
+    """A read-only view of m ones from one shared buffer. The module holds the
+    buffer only weakly and each view holds it strongly, so it is freed with
+    the last graph that uses it; a longer request replaces it."""
+    global _unit_ref
+    ones = _unit_ref() if _unit_ref is not None else None
+    if ones is None or len(ones) < m:
+        ones = _frozen(np.ones(m))
+        _unit_ref = weakref.ref(ones)
+    return ones[:m]
+
+
+def _kept_weights(w: np.ndarray, keep: np.ndarray) -> np.ndarray | None:
+    """w[keep] for a graph made of some edges of another, or None when every
+    weight is 1, so that the new graph takes the shared unit weights too."""
+    return None if (w == 1).all() else w[keep]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Make an array read-only and return it. Value types store their arrays
     through this, so an input ndarray that needs no conversion is kept, not
@@ -44,7 +72,11 @@ class EdgeList:
 
     Undirected edges are stored once; consumers apply them in both
     directions unless ``directed`` is set. Indices are 0-based whole numbers
-    in [0, n); weights must be finite and default to 1 per edge.
+    in [0, n); a signed integer array keeps its dtype, other input becomes
+    int64. Weights must be finite. With ``w=None`` every weight is 1, and
+    ``w`` is a read-only view of one buffer of ones that all such graphs
+    share. So an edge from the sampler or the loader, whose indices are
+    int32 when n < 2**31, costs 8 bytes unweighted and 16 bytes weighted.
     """
 
     u: np.ndarray
@@ -57,14 +89,16 @@ class EdgeList:
     def __post_init__(self):
         u = _whole(self.u, "vertex indices")
         v = _whole(self.v, "vertex indices")
-        w = np.ones(len(u)) if self.w is None else self.w
-        w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+        if self.w is None:
+            w = _unit_weights(len(u))
+        else:
+            w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
         if not (len(u) == len(v) == len(w)):
             raise ValueError("u, v, w must have equal length")
         n = int(self.n)
         if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
             raise ValueError(f"vertex index out of range for n={n}")
-        if not np.isfinite(w).all():
+        if self.w is not None and not np.isfinite(w).all():
             raise ValueError("non-finite edge weight")
         for name, arr in (("u", u), ("v", v), ("w", w)):
             object.__setattr__(self, name, _frozen(arr))
@@ -283,15 +317,19 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     """Load a 1-based text edgelist: "u v [w]", '#' comments ignored.
 
     Separator may be whitespace or commas. n defaults to the largest index
-    seen. ``simple`` drops self-loops with a warning.
+    seen. ``simple`` drops self-loops with a warning. Indices are stored as
+    ``index_dtype`` of the larger of n and that index, so none can wrap into
+    range; a file without weights gets the shared unit weights.
     """
     columns = _loadtxt_columns(path, _EDGE_ROWS, commas=True) or _edge_lines(path)
     u, v = columns[:2]
     if len(u) and min(u.min(), v.min()) < 1:
         raise ValueError(f"{path}: vertex indices must be >= 1")
-    u, v = u - 1, v - 1
+    top = int(max(u.max(), v.max())) if len(u) else 0
     if n is None:
-        n = int(max(u.max(), v.max())) + 1 if len(u) else 0
+        n = top
+    dtype = index_dtype(max(n, top))
+    u, v = u.astype(dtype, copy=False) - 1, v.astype(dtype, copy=False) - 1
     try:
         e = EdgeList(u, v, *columns[2:], n=n, directed=directed)
     except ValueError as exc:
@@ -299,7 +337,8 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     if simple and (loops := e.u == e.v).any():
         warnings.warn(f"dropping {int(loops.sum())} self-loop(s) from graph declared simple",
                       stacklevel=2)
-        e = EdgeList(e.u[~loops], e.v[~loops], e.w[~loops], n=e.n, directed=directed)
+        e = EdgeList(e.u[~loops], e.v[~loops], _kept_weights(e.w, ~loops), n=e.n,
+                     directed=directed)
     return e
 
 

@@ -20,7 +20,9 @@ from .graph import (
     EdgeList,
     GraphCollection,
     _is_number,
+    _kept_weights,
     as_labels,
+    index_dtype,
     read_edgelist,
     read_labels,
     read_vertex_ids,
@@ -101,7 +103,7 @@ def intersect_vertices(graphs, id_lists):
     new_index = {vid: i for i, vid in enumerate(order)}
     out, removed = [], []
     for g, ids in zip(graphs, id_lists):
-        remap = np.array([new_index.get(vid, -1) for vid in ids], dtype=np.int64)
+        remap = np.array([new_index.get(vid, -1) for vid in ids], dtype=index_dtype(len(order)))
         kept = remap >= 0
         removed.append(ids[~kept])
         if isinstance(g, DenseGraph):
@@ -109,7 +111,7 @@ def intersect_vertices(graphs, id_lists):
             out.append(DenseGraph(g.matrix[np.ix_(at, at)]))
         else:
             keep = kept[g.u] & kept[g.v]
-            out.append(EdgeList(remap[g.u[keep]], remap[g.v[keep]], g.w[keep],
+            out.append(EdgeList(remap[g.u[keep]], remap[g.v[keep]], _kept_weights(g.w, keep),
                                 n=len(order), directed=g.directed))
     return GraphCollection(tuple(out)), np.asarray(order, dtype=object), removed
 

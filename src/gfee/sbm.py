@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embedding import row_normalize
-from .graph import EdgeList, GraphCollection, LabelVector, _frozen, _is_number
+from .graph import EdgeList, GraphCollection, LabelVector, _frozen, _is_number, index_dtype
 
 # normalized block rows coincide when no entry differs by more than this
 _COINCIDE_TOL = 1e-9
@@ -178,14 +178,17 @@ def _unrank_triu(t: np.ndarray, m: int):
 def _sample_blockwise(y0, B, theta, rng):
     """Skip-sample each class block at P = min(B * tmax_k * tmax_l, 1), then
     thin all candidates at once, so the block draws consume the same stream
-    with or without theta. Pairs come back once each, with u < v."""
+    with or without theta. Pairs come back once each, with u < v, as
+    index_dtype(n) arrays; the ranks stay int64, so the stream does not
+    depend on the index dtype."""
     K = B.shape[0]
-    members = [np.flatnonzero(y0 == k) for k in range(K)]
+    index = index_dtype(len(y0))
+    members = [np.flatnonzero(y0 == k).astype(index) for k in range(K)]
     P = B
     if theta is not None:
         tmax = np.array([theta[m].max() if len(m) else 0.0 for m in members])
         P = np.minimum(B * np.outer(tmax, tmax), 1.0)
-    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    us, vs = [np.empty(0, dtype=index)], [np.empty(0, dtype=index)]
     for k in range(K):
         for l in range(k, K):
             mk, ml = members[k], members[l]

@@ -1,3 +1,4 @@
+import gc
 import warnings
 from unittest import mock
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfee import graph
+from gfee import binarize, build_encoder, graph
 from gfee import (
     DenseGraph,
     EdgeList,
@@ -16,6 +17,8 @@ from gfee import (
     read_labels,
     validate_collection,
 )
+
+from gfee.graph import adjacency_terms, index_dtype
 
 from helpers import from_adjacency, to_adjacency, write_edgelist
 
@@ -183,6 +186,91 @@ def test_input_arrays_kept_not_copied():
     assert not LabelVector([1, 2, 0], 2).y.flags.writeable
     m = np.eye(2)
     assert DenseGraph(m).matrix is m and not m.flags.writeable
+
+
+def test_unweighted_graphs_share_one_read_only_buffer_of_ones():
+    a, b = EdgeList([0, 1, 2], [1, 2, 0], n=3), EdgeList([3], [0], n=4)
+    assert np.shares_memory(a.w, b.w) and not a.w.flags.writeable
+    assert a.w.flags.c_contiguous and np.array_equal(a.w, np.ones(3)) and list(b.w) == [1.0]
+    with pytest.raises(ValueError):
+        a.w[0] = 2.0
+    with pytest.raises(ValueError):
+        a.w.setflags(write=True)
+
+
+def test_explicit_weights_keep_their_own_array():
+    ones = np.ones(3)
+    a, b = EdgeList([0, 1, 2], [1, 2, 0], ones, n=3), EdgeList([0, 1, 2], [1, 2, 0], n=3)
+    assert a.w is ones and not np.shares_memory(a.w, b.w)
+
+
+def test_unit_buffer_is_freed_with_the_last_graph():
+    current = graph._unit_ref() if graph._unit_ref is not None else None
+    m = (0 if current is None else len(current)) + 1  # longer than any buffer alive
+    del current
+    g = EdgeList(np.zeros(m, dtype=np.int32), np.ones(m, dtype=np.int32), n=2)
+    h = EdgeList([0], [1], n=2)
+    ref = graph._unit_ref
+    assert ref() is not None and len(ref()) == m and np.shares_memory(g.w, h.w)
+    g._coo  # the cached COO array holds a view too
+    del g
+    gc.collect()
+    assert ref() is not None  # h still uses it
+    del h
+    gc.collect()
+    assert ref() is None
+
+
+def _product(g, W):
+    return sum(T @ W for T in adjacency_terms(g))
+
+
+def test_unit_weights_give_the_products_of_explicit_ones(tmp_path):
+    rng = np.random.default_rng(17)
+    n, m = 30, 200
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)  # self-loops and duplicates
+    assert (u == v).any()
+    W = build_encoder(as_labels(rng.integers(0, 4, n), K=3))
+    for directed in (False, True):
+        shared = EdgeList(u, v, n=n, directed=directed)
+        explicit = EdgeList(u, v, np.ones(m), n=n, directed=directed)
+        assert np.array_equal(_product(shared, W), _product(explicit, W))
+        assert np.allclose(_product(shared, W), to_adjacency(explicit) @ W, rtol=0, atol=1e-12)
+    weighted = EdgeList(u, v, rng.uniform(-1, 1, m), n=n)
+    kept = weighted.w > 0
+    b = binarize(weighted)
+    assert np.shares_memory(b.w, shared.w)  # shared has the most edges: its buffer serves both
+    assert np.array_equal(_product(b, W),
+                          _product(EdgeList(u[kept], v[kept], np.ones(kept.sum()), n=n), W))
+    p = tmp_path / "g.txt"
+    p.write_text("".join(f"{a + 1} {c + 1}\n" for a, c in zip(u, v)))
+    with pytest.warns(UserWarning, match="self-loop"):
+        simple = read_edgelist(p, n=n, simple=True)
+    loops = u == v
+    assert np.shares_memory(simple.w, shared.w)
+    assert np.array_equal(_product(simple, W),
+                          _product(EdgeList(u[~loops], v[~loops], np.ones((~loops).sum()), n=n), W))
+
+
+def test_read_edgelist_stores_int32_indices_and_shared_unit_weights(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("1 2\n2 3\n")
+    e = read_edgelist(p)
+    assert e.u.dtype == e.v.dtype == np.int32 and np.shares_memory(e.w, EdgeList([0], [1], n=2).w)
+    p.write_text("1 2 0.5\n2 3 1.0\n")
+    e = read_edgelist(p)
+    assert e.u.dtype == np.int32 and e.w.dtype == np.float64 and list(e.w) == [0.5, 1.0]
+    assert (index_dtype(2 ** 31 - 1), index_dtype(2 ** 31)) == (np.int32, np.int64)
+
+
+def test_read_edgelist_never_wraps_an_index(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("4294967297 1\n")  # 2**32 + 1: as int32, 0-based, it would wrap to 0
+    with pytest.raises(ValueError, match="vertex index out of range for n=10"):
+        read_edgelist(p, n=10)
+    p.write_text("1 2\n2 3\n")
+    e = read_edgelist(p, n=2 ** 31)  # n is only an int: nothing of that size is allocated
+    assert e.n == 2 ** 31 and e.u.dtype == e.v.dtype == np.int64 and list(e.v) == [1, 2]
 
 
 def test_read_edgelist_formats(tmp_path):

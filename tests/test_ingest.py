@@ -169,6 +169,16 @@ def test_intersect_edge_survival_exact():
     assert got == {(u, v) for u, v in survived}
 
 
+def test_intersect_stores_int32_indices_and_keeps_unit_weights_shared():
+    g = EdgeList([0, 1, 2], [1, 2, 3], n=4)
+    weighted = EdgeList([0, 1, 2], [1, 2, 3], [0.5, 1.0, 2.0], n=4)
+    coll, _, _ = intersect_vertices([g, weighted], [list("abcd"), list("bcda")])
+    out, out_weighted = coll.graphs
+    assert out.u.dtype == out.v.dtype == out_weighted.u.dtype == np.int32
+    assert np.shares_memory(out.w, g.w) and not np.shares_memory(out_weighted.w, weighted.w)
+    assert list(out.w) == [1.0, 1.0, 1.0] and list(out_weighted.w) == [0.5, 1.0, 2.0]
+
+
 @st.composite
 def graphs_with_ids(draw):
     """1-3 graphs, each with its own distinct string ids; edgelists carry

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -287,6 +288,21 @@ def test_sample_collection_shares_theta_across_graphs():
     coll2, y2, theta2 = sample_collection(named_spec("sim2"), 2000, 19)
     assert np.array_equal(y.y, y2.y) and np.array_equal(theta, theta2)
     assert all(np.array_equal(a.u, b.u) for a, b in zip(coll.graphs, coll2.graphs))
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("sim1", "02b7cc52d36ab2547f0e7f6ea7b9562fa445497a2e0a3f047af6195b843996a4"),
+    ("sim2", "519eeea9be7f1e0f94cbef8ee995be4bcdc285c255569d811de0d8a45d11bdc7"),  # thinning path
+])
+def test_sample_collection_stream_pinned(name, digest):
+    # the edges that the int64 sampler drew, now stored with int32 indices
+    coll, _, _ = sample_collection(named_spec(name), 2000, 20260)
+    h = hashlib.sha256()
+    for g in coll.graphs:
+        assert g.u.dtype == g.v.dtype == np.int32
+        h.update(g.u.astype("<i8").tobytes())
+        h.update(g.v.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_normalized_blocks_values():
