@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classify import EvalProtocol, cross_validate_embedding
-from .graph import DenseGraph, GraphCollection, LabelVector, adjacency_terms
+from .graph import DenseGraph, GraphCollection, LabelVector, _count, adjacency_terms
 
 # matrices at most this wide use exact dense decompositions
 DENSE_LIMIT = 600
@@ -60,14 +60,11 @@ def top_eigenpairs(A, d: int):
     with a warning when d exceeds the numerical rank.
     """
     n = A.shape[0]
+    d = _count(d, "d")
     if d < 1 or d > n:
         raise ValueError(f"d must be in 1..{n}")
     if isinstance(A, np.ndarray) or n <= DENSE_LIMIT or d >= n - 1:
-        if sp.issparse(A):
-            A = A.toarray()
-        elif not isinstance(A, np.ndarray):  # LinearOperator
-            A = A @ np.eye(n)
-        vals, vecs = np.linalg.eigh(A)
+        vals, vecs = np.linalg.eigh(A if isinstance(A, np.ndarray) else A @ np.eye(n))
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         vals, vecs = sp.linalg.eigsh(A, k=d, which="LM", v0=v0)
@@ -84,6 +81,7 @@ def truncated_svd(X, d: int):
     Returns (U, s, V) with s descending and signs fixed via U.
     """
     n, m = X.shape
+    d = _count(d, "d")
     if d < 1 or d > min(n, m):
         raise ValueError(f"d must be in 1..{min(n, m)}")
     if (not sp.issparse(X)) or min(n, m) <= DENSE_LIMIT or d >= min(n, m) - 1:
@@ -176,13 +174,12 @@ def best_d_error(method: str, collection: GraphCollection, labels: LabelVector,
     """Sweep d = 1..d_max with shared folds and return (d*, report) at the
     minimum mean error; ties resolve to the smallest d. Numerical rank 0
     (every graph empty) leaves no d to sweep and raises ValueError."""
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    d_max = _count(d_max, "d_max", 1)
     E = sweep_embeddings(method, collection, d_max)
     if E.shape[2] == 0:
         raise ValueError(f"{method}: numerical rank 0, so no dimension d to sweep")
     best_d, best_report = None, None
-    for d in range(1, min(d_max, E.shape[2]) + 1):
+    for d in range(1, E.shape[2] + 1):
         report = cross_validate_embedding(E[:, :, :d].reshape(len(E), -1), labels, protocol)
         if best_report is None or report.mean_error < best_report.mean_error:
             best_d, best_report = d, report

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import fuse
-from .graph import GraphCollection, LabelVector, as_labels, class_counts
+from .graph import GraphCollection, LabelVector, _count, as_labels, class_counts
 
 # cap on the scratch distance matrix (entries) when batching queries
 _CHUNK_ENTRIES = 2_000_000
@@ -41,14 +41,8 @@ class EvalProtocol:
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.neighbor_count < 1:
-            raise ValueError("neighbor_count must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        for name, low in (("folds", 2), ("replicates", 1), ("neighbor_count", 1), ("seed", 0)):
+            _count(getattr(self, name), name, low)
 
 
 @dataclass
@@ -117,8 +111,7 @@ def knn_predict(train_points, train_labels, query, k: int = 5):
         raise ValueError("empty training set")
     if train_y.shape != (len(train_X),):
         raise ValueError(f"{len(train_X)} training points but labels of shape {train_y.shape}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _count(k, "k", 1)
     if k > len(train_X):
         raise ValueError(f"k={k} exceeds {len(train_X)} training points")
     if train_y.min() < 1:
@@ -138,6 +131,7 @@ def knn_predict(train_points, train_labels, query, k: int = 5):
 
 def stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
     """Fold index per vertex (-1 for unlabeled), balanced within each class."""
+    folds = _count(folds, "folds", 1)
     assign = np.full(len(y), -1, dtype=np.int64)
     for k in np.unique(y[y > 0]):
         members = rng.permutation(np.flatnonzero(y == k))

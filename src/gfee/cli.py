@@ -15,15 +15,11 @@ import sys
 from .classify import EvalProtocol, cross_validate
 from .embedding import export_binary, export_csv, fuse
 from .experiments import run_baseline, run_simulation, verify_theorems, write_gnuplot, write_table
-from .graph import GraphCollection, read_edgelist, read_labels, validate_collection
+from .graph import GraphCollection, _count, _naming, read_edgelist, read_labels, validate_collection
 from .ingest import load_manifest
 from .sbm import BlockSpec, named_spec
 
 DEFAULT_N_GRID = (500, 1000, 2000, 5000, 10000)
-
-
-class _ValidationFailure(Exception):
-    pass
 
 
 def _parse_ints(text: str):
@@ -51,7 +47,7 @@ def _load_inputs(args):
         collection, labels = load_manifest(args.manifest)
     else:
         if not args.graphs or not args.labels:
-            raise _ValidationFailure("either --manifest or --graphs and --labels required")
+            raise ValueError("either --manifest or --graphs and --labels required")
         labels = read_labels(args.labels)
         graphs = [
             read_edgelist(p, n=labels.n, directed=args.directed, simple=args.simple)
@@ -60,7 +56,7 @@ def _load_inputs(args):
         collection = GraphCollection(tuple(graphs))
     violations = validate_collection(collection, labels)
     if violations:
-        raise _ValidationFailure("\n".join(violations))
+        raise ValueError("\n".join(violations))
     return collection, labels
 
 
@@ -80,7 +76,7 @@ def _cmd_evaluate(args) -> int:
     if args.subset:
         indices = [i - 1 for i in args.subset]
         if any(i < 0 or i >= collection.M for i in indices):
-            raise _ValidationFailure(f"--subset indices must be in 1..{collection.M}")
+            raise ValueError(f"--subset indices must be in 1..{collection.M}")
         collection = collection.subset(indices)
     report = cross_validate(collection, labels, _protocol(args), jobs=args.jobs)
     print(json.dumps(report.to_dict()))
@@ -90,11 +86,8 @@ def _cmd_evaluate(args) -> int:
 def _resolve_cli_spec(args) -> BlockSpec:
     if not args.spec:
         return named_spec(args.sim)
-    try:
-        with open(args.spec) as fh:
-            return BlockSpec.from_json(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"{args.spec}: {exc}") from None
+    with _naming(args.spec), open(args.spec) as fh:
+        return BlockSpec.from_json(fh.read())
 
 
 def _emit(rows, args) -> None:
@@ -194,12 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise _ValidationFailure("--jobs must be >= 1")
+        _count(args.jobs, "--jobs", 1)
         if min(getattr(args, "n_grid", (1,))) < 1:
-            raise _ValidationFailure("--n-grid vertex counts must be >= 1")
+            raise ValueError("--n-grid vertex counts must be >= 1")
         return args.func(args)
-    except (_ValidationFailure, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an unexpected runtime failure

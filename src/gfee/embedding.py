@@ -13,14 +13,13 @@ import struct
 
 import numpy as np
 
-from .graph import GraphCollection, LabelVector, adjacency_terms, as_labels, class_counts
+from .graph import GraphCollection, LabelVector, _count, adjacency_terms, as_labels, class_counts
 
 
 def build_encoder(labels: LabelVector) -> np.ndarray:
     """Encoder W (n x K) with 1/n_k at (i, y_i) for labeled vertices."""
     labels = as_labels(labels)
-    if labels.K < 1:
-        raise ValueError("K must be >= 1")
+    _count(labels.K, "K", 1)
     counts = class_counts(labels)
     y = labels.y
     W = np.zeros((labels.n, labels.K))

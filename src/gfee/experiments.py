@@ -145,7 +145,7 @@ def run_simulation(spec: BlockSpec, n_grid, protocol: EvalProtocol,
     base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:
-        errors, times = _subset_errors(spec, int(n), subset_sizes, protocol, jobs)
+        errors, times = _subset_errors(spec, n, subset_sizes, protocol, jobs)
         for si, m in enumerate(subset_sizes):
             rows.append(_row("simulation", n, base, times[si], graphs=m, errors=errors[si]))
     return rows
@@ -170,7 +170,7 @@ def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol,
     for n in n_grid:
         start = time.perf_counter()
         devs = [
-            class_mean_deviation(spec, int(n), _draw_seed(protocol.seed, n, rep, 11))
+            class_mean_deviation(spec, n, _draw_seed(protocol.seed, n, rep, 11))
             for rep in range(protocol.replicates)
         ]
         rows.append(_row("convergence", n, base, time.perf_counter() - start,
@@ -199,7 +199,7 @@ def run_baseline(spec: BlockSpec, method: str, n_grid, protocol: EvalProtocol,
     base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:
-        collection, labels, _ = sample_collection(spec, int(n), _draw_seed(protocol.seed, n))
+        collection, labels, _ = sample_collection(spec, n, _draw_seed(protocol.seed, n))
         for m in range(1, spec.M + 1):
             start = time.perf_counter()
             sub = collection.subset(range(m))

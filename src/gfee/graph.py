@@ -6,6 +6,7 @@ Vertices are 0-based inside the library; edgelist *files* are 1-based
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import warnings
 import weakref
@@ -27,6 +28,24 @@ def _whole(a, what: str) -> np.ndarray:
 def _is_number(value) -> bool:
     """Whether a value read from JSON is a number; true and false are not."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _count(value, what: str, low: int = 0) -> int:
+    """value as an int: a Python or numpy integer, not a bool, of at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise a ValueError from the body with the path before its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -95,7 +114,7 @@ class EdgeList:
             w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
         if not (len(u) == len(v) == len(w)):
             raise ValueError("u, v, w must have equal length")
-        n = int(self.n)
+        n = _count(self.n, "n")
         if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
             raise ValueError(f"vertex index out of range for n={n}")
         if self.w is not None and not np.isfinite(w).all():
@@ -140,7 +159,7 @@ class DenseGraph:
 
 @dataclass(frozen=True, eq=False)
 class GraphCollection:
-    """Ordered, non-empty sequence of graphs sharing one vertex set."""
+    """Ordered, non-empty sequence of EdgeList and DenseGraph graphs on one vertex set."""
 
     graphs: tuple
 
@@ -148,10 +167,12 @@ class GraphCollection:
         graphs = tuple(self.graphs)
         if not graphs:
             raise ValueError("collection has no graphs")
-        n = graphs[0].n
-        for m, g in enumerate(graphs[1:], 2):
-            if g.n != n:
-                raise ValueError(f"vertex-count mismatch: graph {m} has n={g.n}, graph 1 has n={n}")
+        for m, g in enumerate(graphs, 1):
+            if not isinstance(g, (EdgeList, DenseGraph)):
+                raise ValueError(f"graph {m} is {type(g).__name__}, not an EdgeList or DenseGraph")
+            if g.n != graphs[0].n:
+                raise ValueError(f"vertex-count mismatch: graph {m} has n={g.n}, "
+                                 f"graph 1 has n={graphs[0].n}")
         object.__setattr__(self, "graphs", graphs)
 
     @property
@@ -176,9 +197,7 @@ class LabelVector:
 
     def __post_init__(self):
         y = _whole(self.y, "labels").astype(np.int64, copy=False)
-        K = int(self.K)
-        if K < 0:
-            raise ValueError(f"K must be >= 0, got {K}")
+        K = _count(self.K, "K")
         if len(y) and (y.min() < 0 or y.max() > K):
             raise ValueError(f"label outside 0..{K}")
         object.__setattr__(self, "y", _frozen(y))
@@ -273,14 +292,14 @@ def _loadtxt_columns(path, rows: tuple, commas: bool) -> list | None:
     return None
 
 
-def _int64(values: Sequence[int], what: str, path) -> np.ndarray:
+def _int64(values: Sequence[int], what: str) -> np.ndarray:
     """int64 array of parsed ints; one that does not fit is named in a ValueError."""
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         info = np.iinfo(np.int64)
         big = next(x for x in values if not info.min <= x <= info.max)
-        raise ValueError(f"{path}: {what} {big} does not fit in 64 bits") from None
+        raise ValueError(f"{what} {big} does not fit in 64 bits") from None
 
 
 def _parse_lines(path, parse) -> list:
@@ -307,9 +326,8 @@ def _edge_fields(line: str) -> tuple:
 
 
 def _edge_lines(path) -> list:
-    """u, v, w of an edgelist file, parsed line by line."""
-    us, vs, ws = list(zip(*_parse_lines(path, _edge_fields))) or [(), (), ()]
-    return [_int64(us, "vertex index", path), _int64(vs, "vertex index", path), np.asarray(ws)]
+    """u, v, w of an edgelist file, parsed line by line, as tuples."""
+    return list(zip(*_parse_lines(path, _edge_fields))) or [(), (), ()]
 
 
 def read_edgelist(path, *, n: int | None = None, directed: bool = False,
@@ -322,18 +340,16 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     range; a file without weights gets the shared unit weights.
     """
     columns = _loadtxt_columns(path, _EDGE_ROWS, commas=True) or _edge_lines(path)
-    u, v = columns[:2]
-    if len(u) and min(u.min(), v.min()) < 1:
-        raise ValueError(f"{path}: vertex indices must be >= 1")
-    top = int(max(u.max(), v.max())) if len(u) else 0
-    if n is None:
-        n = top
-    dtype = index_dtype(max(n, top))
-    u, v = u.astype(dtype, copy=False) - 1, v.astype(dtype, copy=False) - 1
-    try:
+    with _naming(path):
+        u, v = (_int64(c, "vertex index") for c in columns[:2])
+        if len(u) and min(u.min(), v.min()) < 1:
+            raise ValueError("vertex indices must be >= 1")
+        top = int(max(u.max(), v.max())) if len(u) else 0
+        if n is None:
+            n = top
+        dtype = index_dtype(max(n, top))
+        u, v = u.astype(dtype, copy=False) - 1, v.astype(dtype, copy=False) - 1
         e = EdgeList(u, v, *columns[2:], n=n, directed=directed)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     if simple and (loops := e.u == e.v).any():
         warnings.warn(f"dropping {int(loops.sum())} self-loop(s) from graph declared simple",
                       stacklevel=2)
@@ -345,15 +361,13 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
 def read_labels(path) -> LabelVector:
     """Load a label file: one integer per line, line i = label of vertex i."""
     columns = _loadtxt_columns(path, _LABEL_ROWS, commas=False)
-    y = columns[0] if columns else _int64(_parse_lines(path, int), "label", path)
-    try:
-        return as_labels(y)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    y = columns[0] if columns else _parse_lines(path, int)
+    with _naming(path):
+        return as_labels(_int64(y, "label"))
 
 
 def read_vertex_ids(path) -> np.ndarray:
     """Load per-vertex external ids (one per line) used for matching."""
-    with open(path) as fh:
+    with _naming(path), open(path) as fh:
         ids = [line.strip() for line in fh if line.strip()]
     return np.asarray(ids, dtype=object)

@@ -21,6 +21,7 @@ from .graph import (
     GraphCollection,
     _is_number,
     _kept_weights,
+    _naming,
     as_labels,
     index_dtype,
     read_edgelist,
@@ -117,11 +118,13 @@ def intersect_vertices(graphs, id_lists):
 
 
 def read_attributes(path) -> np.ndarray:
-    """Attribute CSV: row i = features of vertex i (no header)."""
-    try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Attribute CSV: row i = features of vertex i (no header); every entry
+    must be finite."""
+    with _naming(path):
+        X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        if not np.isfinite(X).all():
+            raise ValueError("attribute matrix has non-finite entries")
+        return X
 
 
 def load_manifest(path):
@@ -135,72 +138,70 @@ def load_manifest(path):
                      "ids"?: file}
                     {"attributes": file, "metric": "cosine"|"euclidean"}
     Every file is a JSON string, resolved relative to the manifest; thr is a
-    number, not a boolean. An edgelist has as many vertices as its id file
-    has lines, or, without ids, as the label file has labels.
+    finite number, not a boolean. An edgelist has as many vertices as its id
+    file has lines, or, without ids, as the label file has labels. Every
+    ValueError names the manifest, and then the inner file if one is at fault.
     """
     path = Path(path)
-    try:
+    with _naming(path):
         spec = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ValueError(f"{path}: manifest must be a JSON object")
-    for key in ("graphs", "labels"):
-        if key not in spec:
-            raise ValueError(f"{path}: manifest has no {key!r} key")
-    if not (isinstance(spec["graphs"], list) and all(isinstance(e, dict) for e in spec["graphs"])):
-        raise ValueError(f"{path}: manifest 'graphs' must be a list of objects")
-    if not all("edgelist" in e or "attributes" in e for e in spec["graphs"]):
-        raise ValueError(f"{path}: manifest graph entry needs 'edgelist' or 'attributes'")
+        if not isinstance(spec, dict):
+            raise ValueError("manifest must be a JSON object")
+        for key in ("graphs", "labels"):
+            if key not in spec:
+                raise ValueError(f"manifest has no {key!r} key")
+        if not (isinstance(spec["graphs"], list)
+                and all(isinstance(e, dict) for e in spec["graphs"])):
+            raise ValueError("manifest 'graphs' must be a list of objects")
+        if not all("edgelist" in e or "attributes" in e for e in spec["graphs"]):
+            raise ValueError("manifest graph entry needs 'edgelist' or 'attributes'")
 
-    def path_of(obj, key):
-        if not isinstance(obj[key], str):
-            raise ValueError(f"{path}: {key!r} must be a file name string, got {obj[key]!r}")
-        return path.parent / obj[key]
+        def path_of(obj, key):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{key!r} must be a file name string, got {obj[key]!r}")
+            return path.parent / obj[key]
 
-    labels = read_labels(path_of(spec, "labels"))
-    graphs, id_lists = [], []
-    for entry in spec["graphs"]:
-        ids = read_vertex_ids(path_of(entry, "ids")) if "ids" in entry else None
-        if "edgelist" in entry:
-            flags = {key: entry.get(key, False) for key in ("directed", "simple")}
-            for key, value in flags.items():
-                if not isinstance(value, bool):
-                    raise ValueError(f"{path}: {key!r} must be true or false, got {value!r}")
-            n = labels.n if ids is None else len(ids)
-            g = read_edgelist(path_of(entry, "edgelist"), n=n, **flags)
-            if "binarize" in entry:
-                threshold = entry["binarize"]
-                if not _is_number(threshold):
-                    raise ValueError(f"{path}: 'binarize' must be a number, got {threshold!r}")
-                g = binarize(g, threshold)
-        else:
-            metric = entry.get("metric", "cosine")
-            if metric not in ("cosine", "euclidean"):
-                raise ValueError(f"{path}: unknown metric: {metric!r}")
-            X = read_attributes(path_of(entry, "attributes"))
-            g = attributes_to_similarity_matrix(X, metric)
-        graphs.append(g)
-        id_lists.append(ids)
+        labels = read_labels(path_of(spec, "labels"))
+        graphs, id_lists = [], []
+        for entry in spec["graphs"]:
+            ids = read_vertex_ids(path_of(entry, "ids")) if "ids" in entry else None
+            if "edgelist" in entry:
+                flags = {key: entry.get(key, False) for key in ("directed", "simple")}
+                for key, value in flags.items():
+                    if not isinstance(value, bool):
+                        raise ValueError(f"{key!r} must be true or false, got {value!r}")
+                n = labels.n if ids is None else len(ids)
+                g = read_edgelist(path_of(entry, "edgelist"), n=n, **flags)
+                if "binarize" in entry:
+                    threshold = entry["binarize"]
+                    if not _is_number(threshold):
+                        raise ValueError(f"'binarize' must be a number, got {threshold!r}")
+                    if not np.isfinite(threshold):
+                        raise ValueError(f"'binarize' must be finite, got {threshold!r}")
+                    g = binarize(g, threshold)
+            else:
+                metric = entry.get("metric", "cosine")
+                if metric not in ("cosine", "euclidean"):
+                    raise ValueError(f"unknown metric: {metric!r}")
+                X = read_attributes(path_of(entry, "attributes"))
+                g = attributes_to_similarity_matrix(X, metric)
+            graphs.append(g)
+            id_lists.append(ids)
 
-    with_ids = [ids is not None for ids in id_lists]
-    if any(with_ids):
+        with_ids = [ids is not None for ids in id_lists]
+        if not any(with_ids):
+            return GraphCollection(tuple(graphs)), labels
         if not all(with_ids):
-            raise ValueError(f"{path}: either every graph carries ids or none does")
+            raise ValueError("either every graph carries ids or none does")
         collection, common, _ = intersect_vertices(graphs, id_lists)
-    else:
-        collection, common = GraphCollection(tuple(graphs)), None
-
-    if common is not None:
         if "label_ids" not in spec:
-            raise ValueError(f"{path}: label_ids required when graphs carry ids")
+            raise ValueError("label_ids required when graphs carry ids")
         label_ids = read_vertex_ids(path_of(spec, "label_ids"))
         if len(label_ids) != labels.n:
-            raise ValueError(f"{path}: label_ids length does not match labels")
+            raise ValueError("label_ids length does not match labels")
         by_id = dict(zip(label_ids, labels.y))
         try:
             y = np.array([by_id[vid] for vid in common], dtype=np.int64)
         except KeyError as exc:
-            raise ValueError(f"{path}: no label for vertex id {exc.args[0]!r}") from None
-        labels = as_labels(y, labels.K)
-    return collection, labels
+            raise ValueError(f"no label for vertex id {exc.args[0]!r}") from None
+        return collection, as_labels(y, labels.K)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embedding import row_normalize
-from .graph import EdgeList, GraphCollection, LabelVector, _frozen, _is_number, index_dtype
+from .graph import EdgeList, GraphCollection, LabelVector, _count, _frozen, _is_number, index_dtype
 
 # normalized block rows coincide when no entry differs by more than this
 _COINCIDE_TOL = 1e-9
@@ -243,6 +243,7 @@ def sample_collection(spec: BlockSpec, n: int, seed):
     split deterministically from the seed, so generation per graph is
     order-independent.
     """
+    n = _count(n, "n")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(spec.M + 2)
     labels = sample_labels(n, spec.priors, np.random.default_rng(streams[0]))

@@ -282,12 +282,14 @@ EDGES = {"edgelist": "g1.txt"}
     # "priors": 1 exited 1 with "len() of unsized object"; 2-D priors were accepted
     ("spec.json", {**SPEC, "priors": 1}),
     ("spec.json", {"priors": [[0.5, 0.5]], "blocks": [[[0.1]]]}),
+    # json reads NaN, and a NaN threshold dropped every edge
+    ("manifest.json", {"graphs": [{**EDGES, "binarize": float("nan")}], "labels": "labels.txt"}),
 ], ids=["graphs-object", "graphs-string-entry", "binarize-string", "manifest-not-json",
         "simple-string", "directed-string", "unknown-metric",
         "attributes-not-numbers", "spec-no-priors", "spec-list", "degree-law-no-b",
         "spec-not-json", "binarize-true", "edgelist-int", "attributes-int", "ids-int",
         "labels-list", "label-ids-int", "blocks-int", "degree-law-string", "degree-law-bool",
-        "priors-int", "priors-2d"])
+        "priors-int", "priors-2d", "binarize-nan"])
 def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, content):
     bad = tiny_dataset / name
     bad.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -409,6 +411,32 @@ def test_manifest_id_errors_exit_2_and_name_it(tiny_dataset, capsys, manifest, l
     code = main(["embed", "--manifest", str(path), "--out", str(tiny_dataset / "x.csv")])
     assert code == 2
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files, entries, inner, message", [
+    ({"ids.txt": b"a\nb\nb\nd\n"}, [IDS], None, "duplicate vertex id within a graph"),
+    ({"attrs.csv": b"1,0\n0,1\n1,1\n"}, [EDGES, {"attributes": "attrs.csv"}], None,
+     "vertex-count mismatch: graph 2 has n=3"),
+    ({"attrs.csv": b"1,0\n0,1\nnan,1\n2,1\n"}, [{"attributes": "attrs.csv"}], "attrs.csv",
+     "attribute matrix has non-finite entries"),
+    ({"ids.txt": b"a\n\xff\nc\nd\n"}, [IDS], "ids.txt", "can't decode byte 0xff"),
+    ({"g1.txt": b"1 2\n2 x\n"}, [EDGES], "g1.txt", "2: invalid literal"),
+], ids=["duplicate-id", "attribute-rows", "attribute-nan", "undecodable-ids", "edgelist-line"])
+def test_manifest_file_errors_name_the_manifest_and_the_file(tiny_dataset, capsys, files,
+                                                              entries, inner, message):
+    # the first four named no file and the last only g1.txt; each file is named once
+    for name, content in files.items():
+        (tiny_dataset / name).write_bytes(content)
+    (tiny_dataset / "label_ids.txt").write_text("a\nb\nc\nd\n")
+    path = tiny_dataset / "manifest.json"
+    path.write_text(json.dumps({"graphs": entries, "labels": "labels.txt",
+                                "label_ids": "label_ids.txt"}))
+    code = main(["embed", "--manifest", str(path), "--out", str(tiny_dataset / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    named = [path] if inner is None else [path, tiny_dataset / inner]
+    assert f"error: {': '.join(map(str, named))}" in err and message in err
+    assert all(err.count(str(p)) == 1 for p in named)
 
 
 def test_embed_index_overflow_exits_2_and_names_file(tiny_dataset, capsys):

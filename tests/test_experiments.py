@@ -109,6 +109,15 @@ def test_empty_n_grid():
     assert run_baseline(SIM1, "gfee", [], proto) == []
 
 
+@pytest.mark.parametrize("runner", [run_simulation, verify_theorems,
+                                    lambda *a: run_baseline(a[0], "gfee", *a[1:])],
+                         ids=["simulate", "verify", "baseline"])
+def test_fractional_grid_entry_raises(runner):
+    # 300.7 used to be truncated to a row with n = 300
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 300\.7$"):
+        runner(SIM1, [300.7], EvalProtocol(folds=2, replicates=1, seed=1))
+
+
 def test_run_baseline_rows():
     spec = BlockSpec(priors=[0.5, 0.5], blocks=[[[0.3, 0.05], [0.05, 0.3]]] * 2)
     proto = EvalProtocol(folds=4, replicates=1, seed=31)

@@ -10,14 +10,21 @@ from gfee import binarize, build_encoder, graph
 from gfee import (
     DenseGraph,
     EdgeList,
+    EvalProtocol,
     GraphCollection,
     LabelVector,
     as_labels,
+    best_d_error,
+    knn_predict,
+    named_spec,
     read_edgelist,
     read_labels,
+    sample_collection,
     validate_collection,
 )
 
+from gfee.baselines import top_eigenpairs, truncated_svd
+from gfee.classify import stratified_folds
 from gfee.graph import adjacency_terms, index_dtype
 
 from helpers import from_adjacency, to_adjacency, write_edgelist
@@ -40,6 +47,47 @@ def test_validate_vertex_count_mismatch():
         GraphCollection(())
     with pytest.raises(ValueError, match="collection has no graphs"):
         GraphCollection((g1, g1)).subset([])
+
+
+def test_collection_rejects_members_that_are_not_graphs():
+    # such a member used to fail with "AttributeError: ... has no attribute 'n'"
+    g = EdgeList([0], [1], n=2)
+    with pytest.raises(ValueError, match="^graph 2 is str, not an EdgeList or DenseGraph$"):
+        GraphCollection((g, "g2.txt"))
+    with pytest.raises(ValueError, match="^graph 1 is ndarray, not an EdgeList or DenseGraph$"):
+        GraphCollection((np.eye(2), g))
+
+
+PATH4 = GraphCollection((EdgeList([0, 1, 2], [1, 2, 3], n=4),))
+
+
+@pytest.mark.parametrize("name, low, call", [
+    ("n", 0, lambda v: EdgeList([], [], n=v)),
+    ("K", 0, lambda v: LabelVector([0], K=v)),
+    ("folds", 2, lambda v: EvalProtocol(folds=v)),
+    ("replicates", 1, lambda v: EvalProtocol(replicates=v)),
+    ("neighbor_count", 1, lambda v: EvalProtocol(neighbor_count=v)),
+    ("seed", 0, lambda v: EvalProtocol(seed=v)),
+    ("k", 1, lambda v: knn_predict([[0.0], [1.0]], [1, 2], [0.0], k=v)),
+    ("folds", 1, lambda v: stratified_folds(np.array([1, 2, 1]), v, np.random.default_rng(0))),
+    ("d", 1, lambda v: top_eigenpairs(np.eye(3), v)),
+    ("d", 1, lambda v: truncated_svd(np.eye(3), v)),
+    ("d_max", 1, lambda v: best_d_error("use", PATH4, as_labels([1, 2, 1, 2]),
+                                        EvalProtocol(folds=2, replicates=1, neighbor_count=1),
+                                        d_max=v)),
+    ("n", 0, lambda v: sample_collection(named_spec("sim1"), v, 1)),
+], ids=["EdgeList.n", "LabelVector.K", "EvalProtocol.folds", "EvalProtocol.replicates",
+        "EvalProtocol.neighbor_count", "EvalProtocol.seed", "knn_predict.k",
+        "stratified_folds.folds", "top_eigenpairs.d", "truncated_svd.d", "best_d_error.d_max",
+        "sample_collection.n"])
+def test_count_arguments_take_integers_of_at_least_low(name, low, call):
+    # fractions used to be truncated or to fail with a TypeError, and values
+    # below low (bools among them) were accepted or failed inside numpy
+    for bad in (low + 0.5, True, False, low - 1):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(bad)
+    for good in (np.int32(low), np.int64(low), low):
+        call(good)
 
 
 def test_validate_label_length():
