@@ -20,6 +20,7 @@ import numpy as np
 from .baselines import best_d_error
 from .classify import EvalProtocol, cross_validate
 from .embedding import fuse
+from .graph import _count
 from .sbm import (
     BlockSpec,
     coincident_groups,
@@ -52,8 +53,9 @@ def code_version() -> str:
         return "unknown"
 
 
-def _draw_seed(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed), *map(int, key)])
+def _draw_seed(seed: int, n: int, *key: int) -> np.random.SeedSequence:
+    """The seed of one draw at n vertices; n is checked here, before any draw."""
+    return np.random.SeedSequence([seed, _count(n, "n", 1), *key])
 
 
 def _inner_protocol(protocol: EvalProtocol, *key: int) -> EvalProtocol:

@@ -26,8 +26,8 @@ def _whole(a, what: str) -> np.ndarray:
 
 
 def _is_number(value) -> bool:
-    """Whether a value read from JSON is a number; true and false are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value is a Python or numpy real number; true and false are not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _count(value, what: str, low: int = 0) -> int:
@@ -184,7 +184,10 @@ class GraphCollection:
         return self.graphs[0].n
 
     def subset(self, indices: Sequence[int]) -> "GraphCollection":
-        """New collection keeping graphs at the given 0-based positions."""
+        """New collection keeping graphs at the given 0-based positions in 0..M-1."""
+        indices = [_count(i, "graph index") for i in indices]
+        if indices and max(indices) >= self.M:
+            raise ValueError(f"graph index must be < {self.M}, got {max(indices)}")
         return GraphCollection(tuple(self.graphs[i] for i in indices))
 
 
@@ -339,6 +342,9 @@ def read_edgelist(path, *, n: int | None = None, directed: bool = False,
     ``index_dtype`` of the larger of n and that index, so none can wrap into
     range; a file without weights gets the shared unit weights.
     """
+    for key, flag in (("directed", directed), ("simple", simple)):
+        if not isinstance(flag, bool):
+            raise ValueError(f"{key!r} must be true or false, got {flag!r}")
     columns = _loadtxt_columns(path, _EDGE_ROWS, commas=True) or _edge_lines(path)
     with _naming(path):
         u, v = (_int64(c, "vertex index") for c in columns[:2])

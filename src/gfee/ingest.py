@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .embedding import row_normalize
 from .graph import (
     DenseGraph,
     EdgeList,
@@ -36,27 +37,21 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
     [0, 2], so S reaches -1 for opposite vectors, and Euclidean distances are
     not rescaled. Negative entries are passed through with a warning.
     """
+    if metric not in ("cosine", "euclidean"):
+        raise ValueError(f"unknown metric: {metric!r}")
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("attribute matrix has non-finite entries")
     if metric == "cosine":
-        zero = ~X.any(axis=1)
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(X, axis=1)
-        # a row whose squared norm is not a normal float is scaled to a largest entry of 1 first
-        rescale = ~zero & ((norms < np.sqrt(np.finfo(np.float64).tiny)) | np.isinf(norms))
-        # zero attribute rows are maximally distant from everything, themselves
-        # included: they stay zero unit rows, whose distances are all 1
-        safe = np.where(zero | rescale, 1.0, norms)
-        unit = X / safe[:, None]
-        if rescale.any():
-            Xs = X[rescale] / np.abs(X[rescale]).max(axis=1, keepdims=True)
-            unit[rescale] = Xs / np.linalg.norm(Xs, axis=1, keepdims=True)
+        # an exact power-of-two scaling keeps each row's direction and its squared norm normal
+        _, exponent = np.frexp(np.abs(X).max(axis=1, initial=0.0))
+        unit = row_normalize(np.ldexp(X, -exponent[:, None]))
         D = 1.0 - unit @ unit.T
         np.clip(D, 0.0, 2.0, out=D)
         D = 0.5 * (D + D.T)
-        np.fill_diagonal(D, np.where(zero, 1.0, 0.0))
-    elif metric == "euclidean":
+        # zero rows stay zero unit rows, at distance 1 from everything, themselves included
+        np.fill_diagonal(D, ~X.any(axis=1))
+    else:
         # overflowing squares end as a non-finite distance, rejected below
         with np.errstate(over="ignore", invalid="ignore"):
             sq = (X ** 2).sum(axis=1)
@@ -64,8 +59,6 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
             np.maximum(D2, 0.0, out=D2)
             D = np.sqrt(0.5 * (D2 + D2.T))
         np.fill_diagonal(D, 0.0)
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
     if not np.isfinite(D).all():
         raise ValueError("non-finite pairwise distances")
     S = 1.0 - D
@@ -77,7 +70,9 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
 
 
 def binarize(e: EdgeList, threshold: float = 0.0) -> EdgeList:
-    """Weights above the threshold become 1; others are dropped."""
+    """Weights above the threshold, a finite real number, become 1; others are dropped."""
+    if not (_is_number(threshold) and np.isfinite(threshold)):
+        raise ValueError(f"binarize threshold must be a finite number, got {threshold!r}")
     keep = e.w > threshold
     return EdgeList(e.u[keep], e.v[keep], n=e.n, directed=e.directed)
 
@@ -137,10 +132,10 @@ def load_manifest(path):
                     {"edgelist": file, "directed"?, "simple"?, "binarize"?: thr,
                      "ids"?: file}
                     {"attributes": file, "metric": "cosine"|"euclidean"}
-    Every file is a JSON string, resolved relative to the manifest; thr is a
-    finite number, not a boolean. An edgelist has as many vertices as its id
-    file has lines, or, without ids, as the label file has labels. Every
-    ValueError names the manifest, and then the inner file if one is at fault.
+    Every file is a JSON string, resolved relative to the manifest. An entry,
+    edgelist or attributes, has as many vertices as its id file has lines,
+    or, without ids, as the label file has labels. Every ValueError names the
+    manifest, and then the inner file if one is at fault.
     """
     path = Path(path)
     with _naming(path):
@@ -163,28 +158,22 @@ def load_manifest(path):
 
         labels = read_labels(path_of(spec, "labels"))
         graphs, id_lists = [], []
-        for entry in spec["graphs"]:
+        for m, entry in enumerate(spec["graphs"], 1):
             ids = read_vertex_ids(path_of(entry, "ids")) if "ids" in entry else None
+            n = labels.n if ids is None else len(ids)
             if "edgelist" in entry:
-                flags = {key: entry.get(key, False) for key in ("directed", "simple")}
-                for key, value in flags.items():
-                    if not isinstance(value, bool):
-                        raise ValueError(f"{key!r} must be true or false, got {value!r}")
-                n = labels.n if ids is None else len(ids)
-                g = read_edgelist(path_of(entry, "edgelist"), n=n, **flags)
+                g = read_edgelist(path_of(entry, "edgelist"), n=n,
+                                  directed=entry.get("directed", False),
+                                  simple=entry.get("simple", False))
                 if "binarize" in entry:
-                    threshold = entry["binarize"]
-                    if not _is_number(threshold):
-                        raise ValueError(f"'binarize' must be a number, got {threshold!r}")
-                    if not np.isfinite(threshold):
-                        raise ValueError(f"'binarize' must be finite, got {threshold!r}")
-                    g = binarize(g, threshold)
+                    g = binarize(g, entry["binarize"])
             else:
-                metric = entry.get("metric", "cosine")
-                if metric not in ("cosine", "euclidean"):
-                    raise ValueError(f"unknown metric: {metric!r}")
-                X = read_attributes(path_of(entry, "attributes"))
-                g = attributes_to_similarity_matrix(X, metric)
+                attributes = path_of(entry, "attributes")
+                X = read_attributes(attributes)
+                if len(X) != n:
+                    raise ValueError(f"{attributes}: vertex-count mismatch: graph {m} has "
+                                     f"n={len(X)}, not {n}")
+                g = attributes_to_similarity_matrix(X, entry.get("metric", "cosine"))
             graphs.append(g)
             id_lists.append(ids)
 

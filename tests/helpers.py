@@ -75,6 +75,20 @@ def row_normalize(Z):
     return Z
 
 
+def cosine_similarity_reference(X):
+    """Cosine S = 1 - D from plain X / ||X|| unit rows: D clipped to [0, 2]
+    and symmetrized, a zero row at distance 1 from every row, itself
+    included. It matches attributes_to_similarity_matrix bit for bit on rows
+    whose squared norms are normal floats."""
+    X = np.asarray(X, dtype=np.float64)
+    norms = np.linalg.norm(X, axis=1)
+    unit = X / np.where(norms > 0, norms, 1.0)[:, None]
+    D = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, np.where(norms > 0, 0.0, 1.0))
+    return 1.0 - D
+
+
 def adjacency_product(g, W):
     """The product A @ W that embed_graph row-normalizes, from the same
     sparse terms."""

@@ -421,7 +421,12 @@ def test_manifest_id_errors_exit_2_and_name_it(tiny_dataset, capsys, manifest, l
      "attribute matrix has non-finite entries"),
     ({"ids.txt": b"a\n\xff\nc\nd\n"}, [IDS], "ids.txt", "can't decode byte 0xff"),
     ({"g1.txt": b"1 2\n2 x\n"}, [EDGES], "g1.txt", "2: invalid literal"),
-], ids=["duplicate-id", "attribute-rows", "attribute-nan", "undecodable-ids", "edgelist-line"])
+    # one attribute graph of 3 rows against 4 labels exited with the CLI's
+    # label-length violation, which named no file
+    ({"attrs.csv": b"1,0\n0,1\n1,1\n"}, [{"attributes": "attrs.csv"}], "attrs.csv",
+     "vertex-count mismatch: graph 1 has n=3"),
+], ids=["duplicate-id", "attribute-rows", "attribute-nan", "undecodable-ids", "edgelist-line",
+        "one-attribute-graph"])
 def test_manifest_file_errors_name_the_manifest_and_the_file(tiny_dataset, capsys, files,
                                                               entries, inner, message):
     # the first four named no file and the last only g1.txt; each file is named once

@@ -109,13 +109,22 @@ def test_empty_n_grid():
     assert run_baseline(SIM1, "gfee", [], proto) == []
 
 
-@pytest.mark.parametrize("runner", [run_simulation, verify_theorems,
-                                    lambda *a: run_baseline(a[0], "gfee", *a[1:])],
-                         ids=["simulate", "verify", "baseline"])
-def test_fractional_grid_entry_raises(runner):
-    # 300.7 used to be truncated to a row with n = 300
-    with pytest.raises(ValueError, match=r"^n must be an integer, got 300\.7$"):
-        runner(SIM1, [300.7], EvalProtocol(folds=2, replicates=1, seed=1))
+GRID_RUNNERS = {"simulate": run_simulation, "verify": verify_theorems,
+                "baseline": lambda *a: run_baseline(a[0], "gfee", *a[1:])}
+BAD_GRID_ENTRIES = {"": (300.7, r"^n must be an integer, got 300\.7$"),
+                    "-negative": (-1, r"^n must be >= 1, got -1$"),
+                    "-zero": (0, r"^n must be >= 1, got 0$")}
+
+
+@pytest.mark.parametrize("runner, entry, match", [
+    pytest.param(runner, entry, match, id=name + suffix)
+    for suffix, (entry, match) in BAD_GRID_ENTRIES.items()
+    for name, runner in GRID_RUNNERS.items()])
+def test_fractional_grid_entry_raises(runner, entry, match):
+    # 300.7 used to be truncated to a row with n = 300; -1 failed inside numpy's
+    # SeedSequence and 0 in cross-validation, with messages that named no n
+    with pytest.raises(ValueError, match=match):
+        runner(SIM1, [entry], EvalProtocol(folds=2, replicates=1, seed=1))
 
 
 def test_run_baseline_rows():

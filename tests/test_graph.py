@@ -499,3 +499,26 @@ def test_collection_subset():
     sub = coll.subset([2, 0])
     assert sub.M == 2
     assert sub.graphs[0].w[0] == 2.0
+
+
+@pytest.mark.parametrize("indices, match", [
+    ([0, -1], r"^graph index must be >= 0, got -1$"),
+    ([5], r"^graph index must be < 3, got 5$"),
+    ([True], r"^graph index must be an integer, got True$"),
+], ids=["negative", "past-the-end", "bool"])
+def test_collection_subset_rejects_an_index_outside_0_to_M_minus_1(indices, match):
+    # -1 kept the last graph and 5 raised a bare IndexError
+    coll = GraphCollection(tuple(EdgeList([0], [1], [float(i)], n=3) for i in range(3)))
+    with pytest.raises(ValueError, match=match):
+        coll.subset(indices)
+    assert coll.subset(iter([np.int64(2), 0])).graphs == coll.graphs[::-2]
+
+
+@pytest.mark.parametrize("flags, match", [
+    ({"directed": "no"}, r"^'directed' must be true or false, got 'no'$"),
+    ({"simple": 1}, r"^'simple' must be true or false, got 1$"),
+], ids=["directed-string", "simple-int"])
+def test_read_edgelist_checks_its_flags_before_reading_the_file(tmp_path, flags, match):
+    # the file does not exist, so reading it first would raise FileNotFoundError
+    with pytest.raises(ValueError, match=match):
+        read_edgelist(tmp_path / "absent.txt", **flags)

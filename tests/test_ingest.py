@@ -17,7 +17,7 @@ from gfee import (
     read_attributes,
 )
 
-from helpers import from_adjacency
+from helpers import cosine_similarity_reference, from_adjacency
 
 
 def test_cosine_identical_rows():
@@ -48,6 +48,36 @@ def test_cosine_rows_of_extreme_magnitude(X, S):
     # took rows 0 and 1 for zero rows, so S was 0 outside S[2, 2]
     got = attributes_to_similarity_matrix(np.array(X), "cosine").matrix
     assert np.allclose(got, S, rtol=0, atol=1e-15)
+
+
+def _attributes_with_zeros(rng, n=10, d=5):
+    """Normal attributes with some zero entries and some zero rows."""
+    X = rng.normal(size=(n, d))
+    X[rng.random((n, d)) < 0.2] = 0.0
+    X[rng.random(n) < 0.2] = 0.0
+    return X
+
+
+@pytest.mark.filterwarnings("ignore:similarity matrix contains negative")
+def test_cosine_similarity_matches_plain_unit_rows():
+    # rows of ordinary magnitude keep the arithmetic of X / ||X||, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        X = _attributes_with_zeros(rng) * 10.0 ** rng.uniform(-3, 3, size=(10, 1))
+        got = attributes_to_similarity_matrix(X, "cosine").matrix
+        assert np.array_equal(got, cosine_similarity_reference(X))
+
+
+@pytest.mark.filterwarnings("ignore:similarity matrix contains negative")
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+def test_cosine_similarity_ignores_power_of_two_scaling(k):
+    # the squared norms of the scaled rows over- or underflow; S used to move
+    # with them, though the rows point the same way
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        X = _attributes_with_zeros(rng)
+        S = attributes_to_similarity_matrix(X, "cosine").matrix
+        assert np.array_equal(attributes_to_similarity_matrix(np.ldexp(X, k), "cosine").matrix, S)
 
 
 def test_negative_similarity_passes_with_warning():
@@ -108,6 +138,20 @@ def test_binarize():
     assert np.array_equal(again.u, b.u) and np.array_equal(again.w, b.w)
     # threshold at the max weight drops everything
     assert binarize(e, 2.0).num_edges == 0
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), True, "x"],
+                         ids=["nan", "inf", "bool", "string"])
+def test_binarize_rejects_a_threshold_that_is_not_a_finite_number(threshold):
+    # nan dropped every edge, and True thresholded at 1, without a word
+    e = EdgeList([0, 1, 2], [1, 2, 3], [0.05, 0.5, 2.0], n=4)
+    with pytest.raises(ValueError, match=r"^binarize threshold must be a finite number, got "):
+        binarize(e, threshold)
+
+
+def test_binarize_takes_a_numpy_threshold():
+    e = EdgeList([0, 1, 2], [1, 2, 3], [0.05, 0.5, 2.0], n=4)
+    assert binarize(e, np.float32(0.1)).num_edges == 2
 
 
 def test_binarize_idempotent():
@@ -310,6 +354,17 @@ def test_manifest_attributes_with_ids(tmp_path):
     for got, want in zip(collection.graphs, ref.graphs):
         diff = embed_graph(got, W) - embed_graph(want, W)
         assert np.abs(diff).max() <= 1e-12
+
+
+def test_manifest_attribute_rows_must_match_the_label_count(tmp_path):
+    # a 3-row attribute file against 4 labels came back as a 3-vertex collection
+    (tmp_path / "attrs.csv").write_text("1,0\n0,1\n1,1\n")
+    (tmp_path / "labels.txt").write_text("1\n1\n2\n2\n")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"graphs": [{"attributes": "attrs.csv"}], "labels": "labels.txt"}))
+    with pytest.raises(ValueError, match="vertex-count mismatch: graph 1 has n=3") as exc:
+        load_manifest(path)
+    assert str(exc.value).startswith(f"{path}: {tmp_path / 'attrs.csv'}: ")
 
 
 @pytest.mark.parametrize("manifest, match", [
