@@ -167,6 +167,7 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
     _look_ahead); kNN and every tally stay on the calling thread, in serial
     order, so the report does not depend on ``jobs``.
     """
+    jobs = jobs if jobs is None else _count(jobs, "jobs", 1)
     y = labels.y
     K = labels.K
     counts = class_counts(labels)

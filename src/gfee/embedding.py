@@ -30,10 +30,14 @@ def build_encoder(labels: LabelVector) -> np.ndarray:
 
 def row_normalize(Z: np.ndarray) -> np.ndarray:
     """Scale each nonzero row of Z to unit Euclidean norm in place; zero rows
-    stay zero. Returns Z."""
-    norms = np.linalg.norm(Z, axis=1)
-    nz = norms > 0
-    Z[nz] /= norms[nz, None]
+    stay zero. Returns Z. Each row is first scaled by the exact power of two
+    that puts its largest magnitude in [0.5, 1), so a nonzero row's norm is at
+    least 0.5 and neither over- nor underflows. A non-finite entry raises."""
+    peaks = np.abs(Z).max(axis=1, initial=0.0)
+    if not np.isfinite(peaks).all():
+        raise ValueError(f"row {np.flatnonzero(~np.isfinite(peaks))[0]} has a non-finite entry")
+    np.ldexp(Z, -np.frexp(peaks)[1][:, None], out=Z)
+    Z /= np.maximum(np.linalg.norm(Z, axis=1), 0.5)[:, None]
     return Z
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import warnings
 import weakref
 from dataclasses import KW_ONLY, dataclass
@@ -25,9 +26,14 @@ def _whole(a, what: str) -> np.ndarray:
     return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
-def _is_number(value) -> bool:
-    """Whether a value is a Python or numpy real number; true and false are not."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _real(value, what: str) -> float:
+    """value as a float: a Python or numpy real number, not a bool, that is
+    finite as a float."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(x := float(value)):
+                return x
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def _count(value, what: str, low: int = 0) -> int:

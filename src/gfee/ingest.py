@@ -20,9 +20,9 @@ from .graph import (
     DenseGraph,
     EdgeList,
     GraphCollection,
-    _is_number,
     _kept_weights,
     _naming,
+    _real,
     as_labels,
     index_dtype,
     read_edgelist,
@@ -43,9 +43,7 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
     if not np.isfinite(X).all():
         raise ValueError("attribute matrix has non-finite entries")
     if metric == "cosine":
-        # an exact power-of-two scaling keeps each row's direction and its squared norm normal
-        _, exponent = np.frexp(np.abs(X).max(axis=1, initial=0.0))
-        unit = row_normalize(np.ldexp(X, -exponent[:, None]))
+        unit = row_normalize(X.copy())
         D = 1.0 - unit @ unit.T
         np.clip(D, 0.0, 2.0, out=D)
         D = 0.5 * (D + D.T)
@@ -71,9 +69,7 @@ def attributes_to_similarity_matrix(X, metric: str = "cosine") -> DenseGraph:
 
 def binarize(e: EdgeList, threshold: float = 0.0) -> EdgeList:
     """Weights above the threshold, a finite real number, become 1; others are dropped."""
-    if not (_is_number(threshold) and np.isfinite(threshold)):
-        raise ValueError(f"binarize threshold must be a finite number, got {threshold!r}")
-    keep = e.w > threshold
+    keep = e.w > _real(threshold, "binarize threshold")
     return EdgeList(e.u[keep], e.v[keep], n=e.n, directed=e.directed)
 
 

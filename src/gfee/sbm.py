@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embedding import row_normalize
-from .graph import EdgeList, GraphCollection, LabelVector, _count, _frozen, _is_number, index_dtype
+from .graph import EdgeList, GraphCollection, LabelVector, _count, _frozen, _real, index_dtype
 
 # normalized block rows coincide when no entry differs by more than this
 _COINCIDE_TOL = 1e-9
@@ -37,7 +37,7 @@ class DegreeLaw:
     b: float
 
     def __post_init__(self):
-        if not (0 < self.a <= self.b):
+        if not (0 < _real(self.a, "degree law a") <= _real(self.b, "degree law b")):
             raise ValueError("degree law requires 0 < a <= b")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,7 +53,8 @@ def _check_block(B: np.ndarray, K: int, theta_max: float, name: str) -> None:
         raise ValueError(f"{name} has entries outside [0, 1]")
     if not np.allclose(B, B.T):
         raise ValueError(f"{name} is not symmetric")
-    peak = theta_max ** 2 * B.max(initial=0.0)
+    # float products, B first: an overflow gives inf, never an OverflowError or inf * 0
+    peak = float(theta_max) * (float(theta_max) * float(B.max(initial=0.0)))
     if peak > 1:
         raise ValueError(f"degree parameters can push {name} probability to {peak:.3g} > 1")
 
@@ -110,9 +111,8 @@ class BlockSpec:
             raise ValueError(f"'blocks' must be a list of block matrices, got {obj['blocks']!r}")
         law = obj.get("degree_law")
         if law and not (isinstance(law, dict) and law.get("kind") == "uniform"
-                        and {"a", "b"} <= law.keys()
-                        and all(_is_number(law[key]) for key in ("a", "b"))):
-            raise ValueError(f"degree_law must be uniform with numbers 'a' and 'b', got {law!r}")
+                        and {"a", "b"} <= law.keys()):
+            raise ValueError(f"degree_law must be uniform with 'a' and 'b', got {law!r}")
         degree_law = DegreeLaw(law["a"], law["b"]) if law else None
         spec = cls(priors=obj["priors"], blocks=obj["blocks"], degree_law=degree_law)
         if "K" in obj and obj["K"] != spec.K:

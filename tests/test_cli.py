@@ -284,12 +284,17 @@ EDGES = {"edgelist": "g1.txt"}
     ("spec.json", {"priors": [[0.5, 0.5]], "blocks": [[[0.1]]]}),
     # json reads NaN, and a NaN threshold dropped every edge
     ("manifest.json", {"graphs": [{**EDGES, "binarize": float("nan")}], "labels": "labels.txt"}),
+    # these exited 1: a TypeError from np.isfinite, and OverflowError from theta_max ** 2
+    ("manifest.json", {"graphs": [{**EDGES, "binarize": 10 ** 400}], "labels": "labels.txt"}),
+    ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": 0.1, "b": 1e308}}),
+    ("spec.json", {**SPEC, "degree_law": {"kind": "uniform", "a": 0.1, "b": 10 ** 400}}),
 ], ids=["graphs-object", "graphs-string-entry", "binarize-string", "manifest-not-json",
         "simple-string", "directed-string", "unknown-metric",
         "attributes-not-numbers", "spec-no-priors", "spec-list", "degree-law-no-b",
         "spec-not-json", "binarize-true", "edgelist-int", "attributes-int", "ids-int",
         "labels-list", "label-ids-int", "blocks-int", "degree-law-string", "degree-law-bool",
-        "priors-int", "priors-2d", "binarize-nan"])
+        "priors-int", "priors-2d", "binarize-nan", "binarize-beyond-float",
+        "degree-law-b-squared-overflows", "degree-law-b-beyond-float"])
 def test_malformed_input_file_exits_2_and_names_it(tiny_dataset, capsys, name, content):
     bad = tiny_dataset / name
     bad.write_text(content if isinstance(content, str) else json.dumps(content))

@@ -143,6 +143,30 @@ def test_scale_invariance_per_graph():
     assert np.allclose(Z, Zc, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+@pytest.mark.parametrize("dense", [False, True], ids=["edgelist", "dense"])
+def test_fuse_ignores_power_of_two_scaling(k, dense):
+    # the squared norms of the scaled products over- or underflow: rows came
+    # out zero at 2**600 and were left unnormalized at 2**-600
+    rng = np.random.default_rng(13)
+    for e, y in ((EdgeList([0, 0, 1, 2], [1, 2, 3, 3], [1.0, 2.0, 1.0, 3.0], n=4),
+                  as_labels([1, 2, 2, 1])),
+                 (random_graph(rng, 25), random_labels(rng, 25, 3))):
+        def embedding(scale):
+            g = EdgeList(e.u, e.v, e.w * scale, n=e.n)
+            return fuse(GraphCollection((DenseGraph(to_adjacency(g)) if dense else g,)), y)
+
+        assert np.array_equal(embedding(np.ldexp(1.0, k)), embedding(1.0))
+
+
+def test_fuse_rejects_a_product_row_that_overflows():
+    # the duplicate edges of vertex 0 sum past the float range; its row came
+    # out [0, nan, 0] and was scored as it was
+    e = EdgeList([0, 0, 2], [1, 1, 3], [1.5e308, 1.5e308, 1.0], n=4)
+    with pytest.raises(ValueError, match=r"^row 0 has a non-finite entry$"):
+        fuse(GraphCollection((e,)), as_labels([1, 2, 1, 3]))
+
+
 def test_edge_order_does_not_matter():
     rng = np.random.default_rng(11)
     e = random_graph(rng, 40)

@@ -15,6 +15,7 @@ from gfee import (
     LabelVector,
     as_labels,
     best_d_error,
+    cross_validate,
     knn_predict,
     named_spec,
     read_edgelist,
@@ -76,10 +77,13 @@ PATH4 = GraphCollection((EdgeList([0, 1, 2], [1, 2, 3], n=4),))
                                         EvalProtocol(folds=2, replicates=1, neighbor_count=1),
                                         d_max=v)),
     ("n", 0, lambda v: sample_collection(named_spec("sim1"), v, 1)),
+    ("jobs", 1, lambda v: cross_validate(PATH4, as_labels([1, 2, 1, 2]),
+                                         EvalProtocol(folds=2, replicates=1, neighbor_count=1),
+                                         jobs=v)),
 ], ids=["EdgeList.n", "LabelVector.K", "EvalProtocol.folds", "EvalProtocol.replicates",
         "EvalProtocol.neighbor_count", "EvalProtocol.seed", "knn_predict.k",
         "stratified_folds.folds", "top_eigenpairs.d", "truncated_svd.d", "best_d_error.d_max",
-        "sample_collection.n"])
+        "sample_collection.n", "cross_validate.jobs"])
 def test_count_arguments_take_integers_of_at_least_low(name, low, call):
     # fractions used to be truncated or to fail with a TypeError, and values
     # below low (bools among them) were accepted or failed inside numpy

@@ -140,8 +140,10 @@ def test_binarize():
     assert binarize(e, 2.0).num_edges == 0
 
 
-@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), True, "x"],
-                         ids=["nan", "inf", "bool", "string"])
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), True, "x", -float("inf"),
+                                       10 ** 400, np.bool_(False)],
+                         ids=["nan", "inf", "bool", "string", "minus-inf", "int-beyond-float",
+                              "numpy-bool"])
 def test_binarize_rejects_a_threshold_that_is_not_a_finite_number(threshold):
     # nan dropped every edge, and True thresholded at 1, without a word
     e = EdgeList([0, 1, 2], [1, 2, 3], [0.05, 0.5, 2.0], n=4)

@@ -63,8 +63,15 @@ def test_blockspec_validation():
     (lambda: BlockSpec(priors=1.0, blocks=[[[0.1]]]), r"priors must be 1-D, got shape \(\)"),
     (lambda: BlockSpec(priors=[[0.5, 0.5]], blocks=[[[0.1]]]),
      r"priors must be 1-D, got shape \(1, 2\)"),
+    (lambda: DegreeLaw("x", 1.0), r"^degree law a must be a finite number, got 'x'$"),
+    (lambda: DegreeLaw(True, 1.0), r"^degree law a must be a finite number, got True$"),
+    (lambda: DegreeLaw(0.1, 10 ** 400), r"^degree law b must be a finite number, got 1000"),
+    (lambda: DegreeLaw(0.1, float("inf")), r"^degree law b must be a finite number, got inf$"),
+    (lambda: BlockSpec(priors=[1.0], blocks=[[[0.2]]], degree_law=DegreeLaw(0.1, 1e308)),
+     r"^degree parameters can push block 1 probability to inf > 1$"),
 ], ids=["degree-law-a-zero", "prior-zero", "no-blocks", "json-K-disagrees", "priors-scalar",
-        "priors-2d"])
+        "priors-2d", "degree-law-a-string", "degree-law-a-bool", "degree-law-b-beyond-float",
+        "degree-law-b-inf", "degree-law-b-squared-overflows"])
 def test_spec_rejects_values_outside_its_model(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -389,6 +396,22 @@ def test_identifiability_proportional_rows():
     B = np.array([[0.05, 0.15], [0.15, 0.45]])  # row2 = 3 * row1
     groups = coincident_groups([B])
     assert groups and groups[0][:2] == (1, 2)
+
+
+@pytest.mark.parametrize("blocks, groups", [
+    ([[[1e300, 1e300], [1.0, 1.0]]], [(1, 2)]),
+    ([[[1e-300, 1e-300], [1.0, 1.0]]], [(1, 2)]),
+    ([[[1e-300, 1e-300], [0.0, 0.0]]], []),
+], ids=["squares-overflow", "squares-underflow", "tiny-row-and-zero-row"])
+def test_coincident_groups_of_rows_of_extreme_magnitude(blocks, groups):
+    # a norm that overflowed made its normalized row zero, and one that
+    # underflowed left the row as it was, so rows were wrongly (un)matched
+    assert coincident_groups(blocks) == groups
+
+
+def test_normalized_blocks_reject_a_non_finite_entry():
+    with pytest.raises(ValueError, match=r"^row 0 has a non-finite entry$"):
+        normalized_blocks([[[np.inf, 1.0], [1.0, 1.0]]])
 
 
 def test_identifiability_row_rescale_invariance():
