@@ -62,7 +62,12 @@ def _load_inputs(args):
 
 def _cmd_embed(args) -> int:
     collection, labels = _load_inputs(args)
-    Z = fuse(collection, labels)
+    try:
+        Z = fuse(collection, labels)
+    except ValueError as exc:
+        if args.manifest or not hasattr(exc, "graph"):
+            raise
+        raise ValueError(f"{args.graphs[exc.graph - 1]}: {exc}") from None
     if args.format == "csv":
         export_csv(Z, args.out)
     else:

@@ -28,25 +28,28 @@ def build_encoder(labels: LabelVector) -> np.ndarray:
     return W
 
 
-def row_normalize(Z: np.ndarray) -> np.ndarray:
+def row_normalize(Z: np.ndarray, row: str = "row", first: int = 0) -> np.ndarray:
     """Scale each nonzero row of Z to unit Euclidean norm in place; zero rows
     stay zero. Returns Z. Each row is first scaled by the exact power of two
     that puts its largest magnitude in [0.5, 1), so a nonzero row's norm is at
-    least 0.5 and neither over- nor underflows. A non-finite entry raises."""
+    least 0.5 and neither over- nor underflows. A non-finite entry raises,
+    naming the first such row as ``row`` and its index counted from ``first``."""
     peaks = np.abs(Z).max(axis=1, initial=0.0)
     if not np.isfinite(peaks).all():
-        raise ValueError(f"row {np.flatnonzero(~np.isfinite(peaks))[0]} has a non-finite entry")
+        index = np.flatnonzero(~np.isfinite(peaks))[0] + first
+        raise ValueError(f"{row} {index} has a non-finite entry")
     np.ldexp(Z, -np.frexp(peaks)[1][:, None], out=Z)
     Z /= np.maximum(np.linalg.norm(Z, axis=1), 0.5)[:, None]
     return Z
 
 
 def embed_graph(graph, W: np.ndarray) -> np.ndarray:
-    """Per-graph embedding Z_m = A_m @ W, then row-normalized."""
+    """Per-graph embedding Z_m = A_m @ W, then row-normalized. A row with a
+    non-finite entry raises, naming its vertex 1-based, as files number them."""
     W = np.asarray(W)
     if W.shape[0] != graph.n:
         raise ValueError("graph and encoder disagree on vertex count")
-    return row_normalize(sum(T @ W for T in adjacency_terms(graph)))
+    return row_normalize(sum(T @ W for T in adjacency_terms(graph)), "vertex", 1)
 
 
 def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
@@ -55,12 +58,22 @@ def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
     W is built once from the labels and shared by the graphs, which are
     embedded one after another on the calling thread; cross-validation runs
     folds, not graphs, in parallel. The output covers every vertex, labeled
-    or not. At least one vertex must be labeled.
+    or not. At least one vertex must be labeled. A graph's ValueError is
+    raised with "graph m: " before its message and m, 1-based, as its
+    ``graph`` attribute.
     """
     W = build_encoder(labels)
     if not W.any():
         raise ValueError("no training labels: every vertex is unlabeled")
-    return np.hstack([embed_graph(g, W) for g in collection.graphs])
+    blocks = []
+    for m, g in enumerate(collection.graphs, 1):
+        try:
+            blocks.append(embed_graph(g, W))
+        except ValueError as exc:
+            err = ValueError(f"graph {m}: {exc}")
+            err.graph = m
+            raise err from None
+    return np.hstack(blocks)
 
 
 def export_csv(Z: np.ndarray, path) -> None:

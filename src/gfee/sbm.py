@@ -39,6 +39,11 @@ class DegreeLaw:
     def __post_init__(self):
         if not (0 < _real(self.a, "degree law a") <= _real(self.b, "degree law b")):
             raise ValueError("degree law requires 0 < a <= b")
+        # numpy scalars as Python numbers, so the spec's JSON can hold them;
+        # a Python int stays an int, and with it every spec_hash
+        for name in ("a", "b"):
+            if isinstance(value := getattr(self, name), np.generic):
+                object.__setattr__(self, name, value.item())
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=n)

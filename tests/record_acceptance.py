@@ -8,9 +8,10 @@ It runs tests/test_acceptance.py under pytest with ``gfee.classify._run_cv``
 wrapped, and writes one line per call to OUT (default
 tests/data/acceptance_record.json): the test id, the ErrorReport's
 ``to_dict()`` and the sha256 of its ``per_fold`` bytes. Two records of the
-same host compare with ``diff``. kNN predictions depend on the BLAS's
-rounding, so a record holds for the host that made it; this script is not a
-test, and pytest does not collect it.
+same host compare with ``diff``. The predictions that brute-force kNN
+computes depend on the BLAS's rounding (the kd-tree route's do not: it keeps
+no answer that rounding could decide), so a record holds for the host that
+made it; this script is not a test, and pytest does not collect it.
 """
 
 import hashlib

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +139,77 @@ def test_knn_batch_small_chunks_match_oracle(monkeypatch):
     monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 3 * len(train))
     assert np.array_equal(classify._knn_batch(train, labels, query, k, 3),
                           knn_batch_sort(train, labels, query, k, 3))
+
+
+def test_knn_brute_small_chunks_match_oracle(monkeypatch):
+    # test_knn_batch_small_chunks_match_oracle's case straight to brute
+    # force, since _knn_batch sends a case past one chunk to the kd-tree
+    rng = np.random.default_rng(5)
+    train = rng.integers(-4, 5, (40, 1)).astype(np.float64)
+    labels = rng.integers(1, 4, 40)
+    query = rng.integers(-4, 5, (30, 1)).astype(np.float64)
+    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 3 * len(train))
+    assert np.array_equal(classify._knn_brute(train, labels, query, 5, 3),
+                          knn_batch_sort(train, labels, query, 5, 3))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(grid_knn_cases())
+def test_knn_tree_route_matches_full_sort_oracle(case):
+    train, labels, query, k, K = case
+    with pytest.MonkeyPatch.context() as mp:
+        # every case now needs more than one chunk, so it takes the tree
+        mp.setattr(classify, "_CHUNK_ENTRIES", 0)
+        preds = classify._knn_batch(train, labels, query, k, K)
+    assert np.array_equal(preds, knn_batch_sort(train, labels, query, k, K))
+
+
+def test_knn_tree_route_matches_oracle_on_near_ties(monkeypatch):
+    rng = np.random.default_rng(8)
+    k = 5
+    # k points 0.5 to 1 from each of 40 far-apart centres, nearest first
+    centres = np.zeros((40, 3))
+    centres[:, 0] = 100 + 10 * np.arange(40)
+    dirs = rng.normal(size=(40, k, 3))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    around = centres[:, None] + np.sort(rng.uniform(0.5, 1.0, (40, k)), axis=1)[..., None] * dirs
+    # a twin of the k-th point of each of the first 20 centres, 1e-9 from it
+    # at right angles to the line from the centre: both lie at the same
+    # distance from the centre, far below rounding
+    off = np.cross(around[:20, -1] - centres[:20], rng.normal(size=(20, 3)))
+    twins = around[:20, -1] + 1e-9 * off / np.linalg.norm(off, axis=1, keepdims=True)
+    train = np.vstack([rng.normal(size=(300, 3)), around.reshape(-1, 3), twins])
+    # two classes near the origin, so k = 5 neighbours there never tie a
+    # vote; at the first 20 centres the k-th point or its twin decides a
+    # 3-2 vote, and at the other 20 the labels 1, 1, 2, 2, 3 tie it 2-2-1
+    labels = np.concatenate([rng.integers(1, 3, 300), np.tile([1, 1, 2, 2, 1], 20),
+                             np.tile([1, 1, 2, 2, 3], 20), np.full(20, 2)])
+    query = np.vstack([rng.normal(size=(60, 3)), centres])
+    brute = classify._knn_brute
+    fallback = []
+    monkeypatch.setattr(classify, "_knn_brute",
+                        lambda X, y, Q, k, K: fallback.append(Q) or brute(X, y, Q, k, K))
+    # one entry short of the whole matrix: the tree route, with the rows it
+    # leaves to brute force in one chunk, as the oracle computes them
+    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", len(query) * len(train) - 1)
+    preds = classify._knn_batch(train, labels, query, k, 3)
+    assert np.array_equal(preds, knn_batch_sort(train, labels, query, k, 3))
+    # the tree answers the queries near the origin and no centre's
+    (rest,) = fallback
+    assert np.array_equal(rest, centres)
+
+
+def test_cli_and_small_cv_leave_scipy_spatial_unloaded():
+    # only the kd-tree route imports scipy.spatial (about 15 MB and 0.2 s),
+    # and no fold of a cross-validation at n = 2000 takes it
+    code = ("import sys, gfee.cli\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+            "from gfee import EvalProtocol, cross_validate, named_spec, sample_collection\n"
+            "coll, y, _ = sample_collection(named_spec('sim1'), 2000, 1)\n"
+            "cross_validate(coll, y, EvalProtocol(folds=10, replicates=1))\n"
+            "assert 'scipy.spatial' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(classify.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_protocol_validation():

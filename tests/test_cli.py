@@ -458,6 +458,18 @@ def test_embed_index_overflow_exits_2_and_names_file(tiny_dataset, capsys):
     assert f"{tiny_dataset / 'g1.txt'}: vertex index 99999999999999999999" in capsys.readouterr().err
 
 
+def test_embed_names_the_file_of_a_graph_with_a_non_finite_row(tmp_path, capsys):
+    # vertex 1's duplicate edges sum past the float range in big.txt
+    (tmp_path / "small.txt").write_text("1 2 1\n2 3 1\n")
+    (tmp_path / "big.txt").write_text("1 2 1.5e308\n1 2 1.5e308\n3 4 1.0\n")
+    (tmp_path / "labels.txt").write_text("1\n2\n1\n3\n")
+    code = main(["embed", "--graphs", str(tmp_path / "small.txt"), str(tmp_path / "big.txt"),
+                 "--labels", str(tmp_path / "labels.txt"), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'big.txt'}: graph 2: vertex 1 has a non-finite entry\n")
+
+
 def test_cli_import_leaves_sparse_linalg_unloaded():
     # scipy.sparse loads linalg on first use, so only a decomposition pays for it
     code = "import sys, gfee.cli; assert 'scipy.sparse.linalg' not in sys.modules"

@@ -163,8 +163,17 @@ def test_fuse_rejects_a_product_row_that_overflows():
     # the duplicate edges of vertex 0 sum past the float range; its row came
     # out [0, nan, 0] and was scored as it was
     e = EdgeList([0, 0, 2], [1, 1, 3], [1.5e308, 1.5e308, 1.0], n=4)
-    with pytest.raises(ValueError, match=r"^row 0 has a non-finite entry$"):
+    with pytest.raises(ValueError, match=r"^graph 1: vertex 1 has a non-finite entry$"):
         fuse(GraphCollection((e,)), as_labels([1, 2, 1, 3]))
+
+
+def test_fuse_names_the_graph_and_vertex_of_a_non_finite_row():
+    # the message was "row 0 has a non-finite entry", naming no graph
+    good = EdgeList([0, 1], [1, 2], [1.0, 1.0], n=4)
+    bad = EdgeList([0, 0, 2], [1, 1, 3], [1.5e308, 1.5e308, 1.0], n=4)
+    with pytest.raises(ValueError, match=r"^graph 2: vertex 1 has a non-finite entry$") as err:
+        fuse(GraphCollection((good, bad)), as_labels([1, 2, 1, 3]))
+    assert err.value.graph == 2
 
 
 def test_edge_order_does_not_matter():

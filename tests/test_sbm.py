@@ -96,6 +96,18 @@ def test_spec_hashes_pinned():
         BlockSpec.from_json(json.dumps(obj))
 
 
+def test_degree_law_keeps_numpy_scalars_json_safe():
+    # float32 a and b made to_json and hash() raise TypeError
+    def spec(a, b):
+        return BlockSpec(priors=[1.0], blocks=[[[0.2]]], degree_law=DegreeLaw(a, b))
+
+    assert (spec(np.float32(0.1), np.float32(0.5)).hash()
+            == spec(float(np.float32(0.1)), 0.5).hash())
+    # a numpy integer stays a JSON integer, so its hash is a Python int's
+    assert spec(np.int64(1), np.uint8(2)).to_json() == spec(1, 2).to_json()
+    assert named_spec("sim2").hash() == "cc78d96f885e"
+
+
 def test_sample_labels_single_class():
     y = sample_labels(50, [1.0], 0)
     assert np.all(y.y == 1) and y.K == 1
