@@ -14,10 +14,10 @@ a query only when it cannot differ from brute force's: the k-th and
 class alone has the most votes. Every other query is brute-forced, so the
 predictions are the same either way.
 
-The fold, not the graph, is the unit of parallel work: with ``jobs`` > 1 the
-per-fold embeddings run ahead on worker threads while the calling thread
-runs kNN and the tallies in serial order, so every report is the same at
-any ``jobs``.
+The fold, not the graph, is the unit of parallel work. One loop scores the
+folds in serial order on the calling thread; with ``jobs`` > 1 the next
+``jobs`` folds' embeddings run on a thread pool while each fold is scored,
+so every report is the same at any ``jobs``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,11 @@ def _knn_brute(train_X, train_y, query_X, k, K):
     chunk = max(1, _CHUNK_ENTRIES // max(1, len(train_X)))
     for lo in range(0, len(query_X), chunk):
         q = query_X[lo:lo + chunk]
-        d2 = (q ** 2).sum(axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ train_X.T)
+        # BLAS multiplies a lone row by gemv, whose last bits differ from a
+        # batch's gemm: padded to two rows, it is scored as in a batch. A
+        # batch's product stays an unnamed temporary, which numpy reuses
+        d2 = (q ** 2).sum(axis=1)[:, None] + train_sq[None, :] - 2.0 * (
+            q @ train_X.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ train_X.T)[:1])
         np.maximum(d2, 0.0, out=d2)
         part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         cand = np.take_along_axis(d2, part, axis=1)
@@ -184,33 +187,16 @@ def stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.
     return assign
 
 
-def _look_ahead(fn, items: list, jobs: int | None):
-    """fn(item) for each item, yielded in order. With jobs > 1 the calls for
-    the next items run on min(jobs, len(items)) worker threads, at most that
-    many in flight, while the caller consumes the earlier results."""
-    workers = min(jobs or 1, len(items))
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for x in items:
-            pending.append(pool.submit(fn, x))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
             jobs: int | None = None) -> ErrorReport:
     """Shared CV loop; embed_for_fold(test_mask) -> points of every vertex.
 
     Every (replicate, fold) is planned first, in serial order, so the first
     fold with fewer than k training points raises before any embedding runs.
-    The embeddings then run ahead on up to ``jobs`` threads (see
-    _look_ahead); kNN and every tally stay on the calling thread, in serial
-    order, so the report does not depend on ``jobs``.
+    One loop then scores them in that order on the calling thread. With
+    w = min(jobs, folds) > 1 workers, folds i..i+w are submitted before fold
+    i's embedding is taken, so w embeddings run while fold i is scored and at
+    most w + 1 are alive; with one, each fold is embedded when it is scored.
     """
     jobs = jobs if jobs is None else _count(jobs, "jobs", 1)
     y = labels.y
@@ -239,9 +225,16 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
     per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
     wrong = np.zeros(protocol.replicates, dtype=np.int64)
     confusion = np.zeros((K, K), dtype=np.int64)
-    # closing() shuts the pool down here, also when kNN raises
-    with closing(_look_ahead(lambda task: embed_for_fold(task[2]), tasks, jobs)) as embedded:
-        for (r, f, test), points in zip(tasks, embedded):
+    workers = min(jobs or 1, len(tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque()
+        for i, (r, f, test) in enumerate(tasks):
+            if workers == 1:
+                points = embed_for_fold(test)
+            else:
+                for _, _, later in tasks[i + len(ahead):i + workers + 1]:
+                    ahead.append(pool.submit(embed_for_fold, later))
+                points = ahead.popleft().result()
             # stratified_folds gives a fold to every labeled vertex and no other
             train = (y > 0) & ~test
             preds = _knn_batch(points[train], y[train], points[test], k, K)

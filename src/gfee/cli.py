@@ -62,12 +62,7 @@ def _load_inputs(args):
 
 def _cmd_embed(args) -> int:
     collection, labels = _load_inputs(args)
-    try:
-        Z = fuse(collection, labels)
-    except ValueError as exc:
-        if args.manifest or not hasattr(exc, "graph"):
-            raise
-        raise ValueError(f"{args.graphs[exc.graph - 1]}: {exc}") from None
+    Z = fuse(collection, labels)
     if args.format == "csv":
         export_csv(Z, args.out)
     else:
@@ -197,6 +192,10 @@ def main(argv=None) -> int:
             raise ValueError("--n-grid vertex counts must be >= 1")
         return args.func(args)
     except (OSError, ValueError) as exc:
+        m = getattr(exc, "graph", None)  # fuse names graph m; name its file too
+        if m and hasattr(args, "graphs"):  # the table commands sample their graphs
+            m = args.subset[m - 1] if getattr(args, "subset", None) else m
+            exc = f"{args.manifest or args.graphs[m - 1]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an unexpected runtime failure

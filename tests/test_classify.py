@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,27 @@ def test_knn_brute_small_chunks_match_oracle(monkeypatch):
     monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 3 * len(train))
     assert np.array_equal(classify._knn_brute(train, labels, query, 5, 3),
                           knn_batch_sort(train, labels, query, 5, 3))
+
+
+def test_lone_query_is_scored_as_in_a_batch(monkeypatch):
+    # each query's two nearest points mirror each other about it, so rounding
+    # alone decides between labels 1 and 2 at k = 1; a one-row product ran
+    # as BLAS gemv, which on OpenBLAS decided 67 of these 320 queries
+    # otherwise than the batch's gemm
+    rng = np.random.default_rng(24)
+    cases = []
+    for _ in range(40):
+        query = rng.normal(size=(8, 4)) * 10
+        d = rng.normal(size=(8, 4)) * 1e-3
+        train = np.vstack([rng.normal(size=(3000, 4)) * 10, query + d, query - d])
+        labels = np.concatenate([rng.integers(1, 3, 3000), np.ones(8, int), np.full(8, 2)])
+        batch = knn_predict(train, labels, query, k=1)
+        assert [knn_predict(train, labels, q, k=1) for q in query] == batch.tolist()
+        cases.append((train, labels, query, batch))
+    # one-row chunks: the tree route leaves every near tie to brute force
+    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 0)
+    for train, labels, query, batch in cases:
+        assert np.array_equal(classify._knn_batch(train, labels, query, 1, 2), batch)
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -350,6 +372,34 @@ def test_cv_first_failing_fold_raises_at_any_jobs(jobs):
     proto = EvalProtocol(folds=4, replicates=3, neighbor_count=4, seed=9)
     with pytest.raises(ValueError, match=r"^k=4 exceeds 3 training points in fold 4 of replicate 3$"):
         cross_validate(coll, y, proto, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_fold_pool_keeps_at_most_jobs_plus_one_fold_embeddings_alive(monkeypatch, jobs):
+    # a slow kNN lets the embeddings ahead finish while a fold is scored; an
+    # unbounded pool.map would then hold every fold's embedding at once
+    y = as_labels([1, 2] * 10)
+    points = np.arange(40.0).reshape(20, 2)
+    refs, alive = [], []
+
+    def embed_for_fold(test):
+        out = points.copy()
+        refs.append(weakref.ref(out))
+        return out
+
+    knn_batch_real = classify._knn_batch
+
+    def knn_batch(*args):
+        time.sleep(0.02)
+        alive.append(sum(ref() is not None for ref in refs))
+        return knn_batch_real(*args)
+
+    monkeypatch.setattr(classify, "_knn_batch", knn_batch)
+    classify._run_cv(embed_for_fold, y, EvalProtocol(folds=5, replicates=2, neighbor_count=1),
+                     jobs)
+    assert len(alive) == 10 and max(alive) <= jobs + 1
+    if jobs == 1:
+        assert alive == [1] * 10
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 64])

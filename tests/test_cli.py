@@ -458,16 +458,41 @@ def test_embed_index_overflow_exits_2_and_names_file(tiny_dataset, capsys):
     assert f"{tiny_dataset / 'g1.txt'}: vertex index 99999999999999999999" in capsys.readouterr().err
 
 
-def test_embed_names_the_file_of_a_graph_with_a_non_finite_row(tmp_path, capsys):
+def _overflowing_graphs(tmp_path):
     # vertex 1's duplicate edges sum past the float range in big.txt
     (tmp_path / "small.txt").write_text("1 2 1\n2 3 1\n")
     (tmp_path / "big.txt").write_text("1 2 1.5e308\n1 2 1.5e308\n3 4 1.0\n")
     (tmp_path / "labels.txt").write_text("1\n2\n1\n3\n")
-    code = main(["embed", "--graphs", str(tmp_path / "small.txt"), str(tmp_path / "big.txt"),
-                 "--labels", str(tmp_path / "labels.txt"), "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize("source", ["graphs", "manifest"])
+@pytest.mark.parametrize("command", ["embed", "evaluate"])
+def test_commands_name_the_file_of_a_graph_with_a_non_finite_row(tmp_path, capsys,
+                                                                 command, source):
+    # only embed --graphs used to name a file
+    _overflowing_graphs(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({
+        "graphs": [{"edgelist": "small.txt"}, {"edgelist": "big.txt"}], "labels": "labels.txt"}))
+    inputs = {"graphs": ["--graphs", str(tmp_path / "small.txt"), str(tmp_path / "big.txt"),
+                         "--labels", str(tmp_path / "labels.txt")],
+              "manifest": ["--manifest", str(tmp_path / "m.json")]}[source]
+    flags = {"embed": ["--out", str(tmp_path / "x.csv")],
+             "evaluate": ["--folds", "2", "--knn", "1", "--replicates", "1", "--seed", "1"]}
+    code = main([command, *inputs, *flags[command]])
+    assert code == 2
+    named = tmp_path / ("big.txt" if source == "graphs" else "m.json")
+    assert capsys.readouterr().err == f"error: {named}: graph 2: vertex 1 has a non-finite entry\n"
+
+
+def test_evaluate_subset_names_the_file_of_the_graph_it_kept(tmp_path, capsys):
+    # graph 1 of --subset 2 is the second file
+    _overflowing_graphs(tmp_path)
+    code = main(["evaluate", "--graphs", str(tmp_path / "small.txt"), str(tmp_path / "big.txt"),
+                 "--labels", str(tmp_path / "labels.txt"), "--subset", "2", "--folds", "2",
+                 "--knn", "1", "--replicates", "1", "--seed", "1"])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: {tmp_path / 'big.txt'}: graph 2: vertex 1 has a non-finite entry\n")
+        f"error: {tmp_path / 'big.txt'}: graph 1: vertex 1 has a non-finite entry\n")
 
 
 def test_cli_import_leaves_sparse_linalg_unloaded():
