@@ -3,16 +3,16 @@
 The evaluation protocol is Monte-Carlo replicated k-fold CV: per replicate
 the labeled vertices are shuffled into stratified folds, and for each fold
 the embedding is recomputed with that fold's labels zeroed, so held-out
-labels never reach the encoder matrix. Neighbor search is exact: each query
-keeps its k nearest training points, distance ties at the k-th place going
-to the lower training index, exactly as a stable full sort would. Brute
-force over all training rows with partial selection is the rule. A fold
-whose distance matrix would need more than one chunk, on points at most
-_TREE_MAX_WIDTH wide, goes to a kd-tree instead, which keeps its answer for
-a query only when it cannot differ from brute force's: the k-th and
-(k+1)-th distances lie further apart than both paths' rounding, and one
-class alone has the most votes. Every other query is brute-forced, so the
-predictions are the same either way.
+labels never reach the encoder matrix. Neighbor search is exact, with one
+rule: a query's k nearest training points are settled by its (k+1)-th
+distance against its k-th, and then _vote decides. Brute force reads both
+from one partial selection over all training rows, with no slack: where the
+(k+1)-th is not above the k-th, the row is sorted in full and distance ties
+go to the lower training index. A fold whose distance matrix would need more
+than one chunk, on points at most _TREE_MAX_WIDTH wide, goes to a kd-tree,
+with both paths' rounding as the slack. Every query the tree cannot settle,
+or whose top vote is shared, is brute-forced, so the predictions are the
+same either way.
 
 The fold, not the graph, is the unit of parallel work. One loop scores the
 folds in serial order on the calling thread; with ``jobs`` > 1 the next
@@ -73,18 +73,28 @@ class ErrorReport:
         }
 
 
-def _knn_brute(train_X, train_y, query_X, k, K):
-    """Predict labels (1..K) for each query row by exact brute force.
+def _vote(nbr_labels, nbr_dist, K):
+    """Each query's class (1..K) from its neighbours' 0-based labels and
+    distances: most votes, then the larger summed inverse distance, then the
+    smaller class; and the mask of each query's top-voted classes."""
+    cells = (np.arange(len(nbr_labels))[:, None] * K + nbr_labels).ravel()
+    votes = np.bincount(cells, minlength=len(nbr_labels) * K).reshape(-1, K)
+    with np.errstate(divide="ignore"):  # a zero distance weighs inf
+        inv_sum = np.bincount(cells, weights=1.0 / nbr_dist.ravel(), minlength=votes.size)
+    top = votes == votes.max(axis=1, keepdims=True)
+    return np.where(top, inv_sum.reshape(-1, K), -1.0).argmax(axis=1) + 1, top
 
-    Each row's k nearest training points come from a partial selection
-    (``argpartition``) and are ordered by (distance, training index); only
-    rows with a distance tie across the k-th place fall back to a stable
-    full sort. Distance ties at the k-th neighbor therefore keep
-    training-index order. Vote ties go to the class with the larger summed
-    inverse distance, then to the smaller class index."""
+
+def _knn_brute(train_X, train_y, query_X, k, K):
+    """Predict labels (1..K) for each query row by exact brute force: one
+    ``argpartition`` at the (k+1)-th place gives each row's k nearest training
+    points, ordered by (distance, training index), and its (k+1)-th distance.
+    A row where that is not above the k-th, a tie across the k-th place, is
+    sorted in full, stably, so ties keep training-index order; _vote decides."""
     preds = np.empty(len(query_X), dtype=np.int64)
     train_sq = (train_X ** 2).sum(axis=1)
     chunk = max(1, _CHUNK_ENTRIES // max(1, len(train_X)))
+    kth = min(k, len(train_X) - 1)
     for lo in range(0, len(query_X), chunk):
         q = query_X[lo:lo + chunk]
         # BLAS multiplies a lone row by gemv, whose last bits differ from a
@@ -93,32 +103,25 @@ def _knn_brute(train_X, train_y, query_X, k, K):
         d2 = (q ** 2).sum(axis=1)[:, None] + train_sq[None, :] - 2.0 * (
             q @ train_X.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ train_X.T)[:1])
         np.maximum(d2, 0.0, out=d2)
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        part = np.argpartition(d2, kth, axis=1)[:, :kth + 1]
         cand = np.take_along_axis(d2, part, axis=1)
-        order = np.take_along_axis(part, np.lexsort((part, cand), axis=1), axis=1)
-        tied = np.count_nonzero(d2 <= cand.max(axis=1, keepdims=True), axis=1) != k
+        order = np.take_along_axis(part, np.lexsort((part[:, :k], cand[:, :k]), axis=1), axis=1)
+        # written so that a nan k-th distance (from overflow) ties
+        tied = ~(cand[:, kth] > cand[:, :k].max(axis=1))
         if tied.any():
             order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-        nbr_labels = train_y[order] - 1
         nbr_dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
-        cells = (np.arange(len(q))[:, None] * K + nbr_labels).ravel()
-        votes = np.bincount(cells, minlength=len(q) * K).reshape(len(q), K)
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / nbr_dist
-        inv_sum = np.bincount(cells, weights=inv.ravel(), minlength=len(q) * K).reshape(len(q), K)
-        top = votes == votes.max(axis=1, keepdims=True)
-        score = np.where(top, inv_sum, -1.0)
-        preds[lo:lo + chunk] = score.argmax(axis=1) + 1
+        preds[lo:lo + chunk] = _vote(train_y[order] - 1, nbr_dist, K)[0]
     return preds
 
 
 def _knn_batch(train_X, train_y, query_X, k, K):
     """_knn_brute's predictions, from a kd-tree where that is faster: on
     points at most _TREE_MAX_WIDTH wide when brute force would need more than
-    one chunk. The tree answers a query only when its k nearest points are
-    brute force's too and one class alone has the most votes among them, so
-    that the inverse-distance tie-break, whose last bits differ between the
-    two paths, cannot decide; every other query is brute-forced."""
+    one chunk. The tree keeps a query only when its (k+1)-th and k-th
+    distances lie further apart than both paths' rounding and one class alone
+    has the most votes, so that _vote's inverse-distance tie-break, whose last
+    bits differ between the paths, cannot decide; the rest are brute-forced."""
     width = train_X.shape[1]
     if not 0 < width <= _TREE_MAX_WIDTH or len(query_X) * len(train_X) <= _CHUNK_ENTRIES:
         return _knn_brute(train_X, train_y, query_X, k, K)
@@ -135,12 +138,9 @@ def _knn_batch(train_X, train_y, query_X, k, K):
     # both paths put the same k points first, with no tie across the k-th.
     scale = (2 * np.linalg.norm(query_X, axis=1) + dist[:, k]) ** 2
     tol = 4 * (width + 8) * np.finfo(np.float64).eps * scale
-    cells = (np.arange(len(query_X))[:, None] * K + train_y[idx[:, :k]] - 1).ravel()
-    votes = np.bincount(cells, minlength=len(query_X) * K).reshape(len(query_X), K)
-    top = votes == votes.max(axis=1, keepdims=True)
+    preds, top = _vote(train_y[idx[:, :k]] - 1, dist[:, :k], K)
     # written so that a nan gap (from overflowed distances) is not sure
     sure = (dist[:, k] ** 2 - dist[:, k - 1] ** 2 > tol) & (top.sum(axis=1) == 1)
-    preds = votes.argmax(axis=1) + 1
     rest = np.flatnonzero(~sure)
     if len(rest):
         preds[rest] = _knn_brute(train_X, train_y, query_X[rest], k, K)

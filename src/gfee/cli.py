@@ -195,7 +195,7 @@ def main(argv=None) -> int:
         m = getattr(exc, "graph", None)  # fuse names graph m; name its file too
         if m and hasattr(args, "graphs"):  # the table commands sample their graphs
             m = args.subset[m - 1] if getattr(args, "subset", None) else m
-            exc = f"{args.manifest or args.graphs[m - 1]}: {exc}"
+            exc = f"{args.manifest or args.graphs[m - 1]}: graph {m}: {exc.__cause__}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an unexpected runtime failure

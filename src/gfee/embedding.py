@@ -59,8 +59,8 @@ def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
     embedded one after another on the calling thread; cross-validation runs
     folds, not graphs, in parallel. The output covers every vertex, labeled
     or not. At least one vertex must be labeled. A graph's ValueError is
-    raised with "graph m: " before its message and m, 1-based, as its
-    ``graph`` attribute.
+    raised with "graph m: " before its message, m, 1-based, as its ``graph``
+    attribute, and the graph's own error as its cause.
     """
     W = build_encoder(labels)
     if not W.any():
@@ -72,7 +72,7 @@ def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
         except ValueError as exc:
             err = ValueError(f"graph {m}: {exc}")
             err.graph = m
-            raise err from None
+            raise err from exc
     return np.hstack(blocks)
 
 

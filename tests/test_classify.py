@@ -152,6 +152,20 @@ def test_knn_brute_small_chunks_match_oracle(monkeypatch):
     monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 3 * len(train))
     assert np.array_equal(classify._knn_brute(train, labels, query, 5, 3),
                           knn_batch_sort(train, labels, query, 5, 3))
+    # overflowed squared distances, which the oracle's full sort orders by
+    # training index. From the queries at 1e200 and 2e200 both points at
+    # 2e200 lie at nan, so k = 3 ties a nan across the k-th place. From the
+    # query at 1 the point at 1e308 lies at nan and k = 2 ties the points at
+    # -1; on a row with a nan, numpy 2.4 partitions by a selection that
+    # leaves the place after the k-th unordered, so only a partition at the
+    # (k+1)-th place shows that tie
+    for train, labels, query, k in [([-1, -1, 2e200, 2e200], [2, 1, 1, 2], [-2e200, 1e200, 2e200], 3),
+                                    ([-1, -2, -1, -1, 1e308], [1, 2, 2, 2, 2], [1], 2)]:
+        train, labels = np.array(train, dtype=np.float64)[:, None], np.array(labels)
+        query = np.array(query, dtype=np.float64)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(classify._knn_brute(train, labels, query, k, 2),
+                                  knn_batch_sort(train, labels, query, k, 2))
 
 
 def test_lone_query_is_scored_as_in_a_batch(monkeypatch):

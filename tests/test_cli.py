@@ -485,14 +485,18 @@ def test_commands_name_the_file_of_a_graph_with_a_non_finite_row(tmp_path, capsy
 
 
 def test_evaluate_subset_names_the_file_of_the_graph_it_kept(tmp_path, capsys):
-    # graph 1 of --subset 2 is the second file
+    # graph 1 of --subset 2 is graph 2 on the command line and in the manifest
     _overflowing_graphs(tmp_path)
-    code = main(["evaluate", "--graphs", str(tmp_path / "small.txt"), str(tmp_path / "big.txt"),
-                 "--labels", str(tmp_path / "labels.txt"), "--subset", "2", "--folds", "2",
-                 "--knn", "1", "--replicates", "1", "--seed", "1"])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: {tmp_path / 'big.txt'}: graph 1: vertex 1 has a non-finite entry\n")
+    (tmp_path / "m.json").write_text(json.dumps({
+        "graphs": [{"edgelist": "small.txt"}, {"edgelist": "big.txt"}], "labels": "labels.txt"}))
+    graphs = ["--graphs", str(tmp_path / "small.txt"), str(tmp_path / "big.txt"),
+              "--labels", str(tmp_path / "labels.txt")]
+    for named, inputs in [("big.txt", graphs), ("m.json", ["--manifest", str(tmp_path / "m.json")])]:
+        code = main(["evaluate", *inputs, "--subset", "2", "--folds", "2", "--knn", "1",
+                     "--replicates", "1", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / named}: graph 2: vertex 1 has a non-finite entry\n")
 
 
 def test_cli_import_leaves_sparse_linalg_unloaded():
