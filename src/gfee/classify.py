@@ -187,13 +187,23 @@ def stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.
     return assign
 
 
-def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
+def _training_labels(labels: LabelVector, test: np.ndarray) -> LabelVector:
+    """The labels a fold's embedding sees: the test fold's are set to 0."""
+    masked = labels.y.copy()
+    masked[test] = 0
+    return LabelVector(masked, labels.K)
+
+
+def _run_cv(embedder, labels: LabelVector, protocol: EvalProtocol,
             jobs: int | None = None) -> ErrorReport:
-    """Shared CV loop; embed_for_fold(test_mask) -> points of every vertex.
+    """Shared CV loop; embedder(tests) -> embed_for_fold(test) -> points of
+    every vertex, where ``tests`` lists the test mask of every planned fold.
 
     Every (replicate, fold) is planned first, in serial order, so the first
     fold with fewer than k training points raises before any embedding runs.
-    One loop then scores them in that order on the calling thread. With
+    embedder is then called once, on the calling thread, with the plan's
+    test masks in order, and one loop scores the folds in that order on the
+    calling thread. With
     w = min(jobs, folds) > 1 workers, folds i..i+w are submitted before fold
     i's embedding is taken, so w embeddings run while fold i is scored and at
     most w + 1 are alive; with one, each fold is embedded when it is scored.
@@ -225,6 +235,7 @@ def _run_cv(embed_for_fold, labels: LabelVector, protocol: EvalProtocol,
     per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
     wrong = np.zeros(protocol.replicates, dtype=np.int64)
     confusion = np.zeros((K, K), dtype=np.int64)
+    embed_for_fold = embedder([test for _, _, test in tasks])
     workers = min(jobs or 1, len(tasks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead = deque()
@@ -270,14 +281,11 @@ def cross_validate(collection: GraphCollection, labels: LabelVector,
     The report is the same at any ``jobs``.
     """
     labels = as_labels(labels)
-    y = labels.y
 
     def embed_for_fold(test):
-        masked = y.copy()
-        masked[test] = 0
-        return fuse(collection, LabelVector(masked, labels.K))
+        return fuse(collection, _training_labels(labels, test))
 
-    return _run_cv(embed_for_fold, labels, protocol, jobs)
+    return _run_cv(lambda tests: embed_for_fold, labels, protocol, jobs)
 
 
 def cross_validate_embedding(points, labels: LabelVector,
@@ -296,4 +304,4 @@ def cross_validate_embedding(points, labels: LabelVector,
         raise ValueError("points/labels length mismatch")
     if not np.isfinite(points).all():
         raise ValueError("non-finite coordinate in embedding points")
-    return _run_cv(lambda test: points, labels, protocol)
+    return _run_cv(lambda tests: lambda test: points, labels, protocol)

@@ -101,8 +101,9 @@ def _emit(rows, args) -> None:
 
 
 def _cmd_table(args) -> int:
-    """simulate and verify: emit the rows of the runner the subcommand set."""
-    rows = args.runner(_resolve_cli_spec(args), args.n_grid, _protocol(args), jobs=args.jobs)
+    """simulate and verify: emit the rows of the runner the subcommand set.
+    Both score their folds on one thread, so they do not read --jobs."""
+    rows = args.runner(_resolve_cli_spec(args), args.n_grid, _protocol(args))
     _emit(rows, args)
     return 0
 
@@ -131,7 +132,8 @@ def _add_protocol_flags(p, folds=5):
     p.add_argument("--knn", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="threads that embed the next folds while kNN runs")
+                   help="threads that embed the next folds while kNN runs; "
+                        "simulate and verify score on one thread and ignore it")
 
 
 def _add_sim_flags(p):

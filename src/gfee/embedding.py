@@ -4,7 +4,10 @@ Builds the class-normalized one-hot matrix W from the label vector, forms
 each per-graph product A_m @ W as a sparse product over the graph's stored
 edges (no dense adjacency), row-normalizes, and concatenates the per-graph
 blocks. All accumulation is double precision; unknown labels (0) contribute
-nothing to W, and a class with no labeled vertex gets a zero column.
+nothing to W, and a class with no labeled vertex gets a zero column. The
+encoder is linear in the one-hot labels, so fuse_many embeds under several
+label vectors (the folds of a CV replicate) with one product per graph over
+their encoders side by side; fuse is its one-label-vector case.
 """
 
 from __future__ import annotations
@@ -43,13 +46,64 @@ def row_normalize(Z: np.ndarray, row: str = "row", first: int = 0) -> np.ndarray
     return Z
 
 
+def _embed(graph, W: np.ndarray, encoders: int) -> np.ndarray:
+    """A @ W for the adjacency A of one graph, where W holds ``encoders``
+    encoders of one width side by side, with each encoder's block
+    row-normalized in place.
+
+    A sparse term multiplies the stacked encoders in one product: each output
+    column sums over the edges in stored order, whatever the other columns
+    hold, so every block is A @ W_f alone, bit for bit. A dense term
+    multiplies each encoder alone, since BLAS may round a wider product
+    differently (OpenBLAS 0.3.31 does at n = 50). A row with a
+    non-finite entry raises, naming its vertex 1-based, as files number them.
+    """
+    if W.shape[0] != graph.n:
+        raise ValueError("graph and encoder disagree on vertex count")
+    K = W.shape[1] // encoders
+    blocks = [slice(f * K, (f + 1) * K) for f in range(encoders)]
+
+    def product(T):
+        if isinstance(T, np.ndarray) and encoders > 1:
+            return np.hstack([T @ np.ascontiguousarray(W[:, b]) for b in blocks])
+        return T @ W
+
+    P = sum(product(T) for T in adjacency_terms(graph))
+    for b in blocks:
+        row_normalize(P[:, b], "vertex", 1)
+    return P
+
+
 def embed_graph(graph, W: np.ndarray) -> np.ndarray:
     """Per-graph embedding Z_m = A_m @ W, then row-normalized. A row with a
     non-finite entry raises, naming its vertex 1-based, as files number them."""
-    W = np.asarray(W)
-    if W.shape[0] != graph.n:
-        raise ValueError("graph and encoder disagree on vertex count")
-    return row_normalize(sum(T @ W for T in adjacency_terms(graph)), "vertex", 1)
+    return _embed(graph, np.asarray(W), 1)
+
+
+def fuse_many(collection: GraphCollection, labelings) -> list:
+    """``fuse(collection, labels)`` for each label vector, bit for bit, from
+    one product per graph: the encoders are stacked side by side,
+    [W_1 | ... | W_F], and each graph multiplies them at once (a dense graph
+    excepted, see _embed). The label vectors share n and K.
+    """
+    Ws = [build_encoder(labels) for labels in labelings]
+    if not all(W.any() for W in Ws):
+        raise ValueError("no training labels: every vertex is unlabeled")
+    if len({W.shape for W in Ws}) > 1:
+        raise ValueError("label vectors disagree on vertex or class count")
+    n, K = Ws[0].shape
+    W = Ws[0] if len(Ws) == 1 else np.hstack(Ws)  # fuse: no copy of its one encoder
+    out = [np.empty((n, len(collection.graphs) * K)) for _ in Ws]
+    for m, g in enumerate(collection.graphs, 1):
+        try:
+            P = _embed(g, W, len(out))
+        except ValueError as exc:
+            err = ValueError(f"graph {m}: {exc}")
+            err.graph = m
+            raise err from exc
+        for f, Z in enumerate(out):
+            Z[:, (m - 1) * K:m * K] = P[:, f * K:(f + 1) * K]
+    return out
 
 
 def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
@@ -62,18 +116,7 @@ def fuse(collection: GraphCollection, labels: LabelVector) -> np.ndarray:
     raised with "graph m: " before its message, m, 1-based, as its ``graph``
     attribute, and the graph's own error as its cause.
     """
-    W = build_encoder(labels)
-    if not W.any():
-        raise ValueError("no training labels: every vertex is unlabeled")
-    blocks = []
-    for m, g in enumerate(collection.graphs, 1):
-        try:
-            blocks.append(embed_graph(g, W))
-        except ValueError as exc:
-            err = ValueError(f"graph {m}: {exc}")
-            err.graph = m
-            raise err from exc
-    return np.hstack(blocks)
+    return fuse_many(collection, [labels])[0]
 
 
 def export_csv(Z: np.ndarray, path) -> None:

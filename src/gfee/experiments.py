@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import subprocess
 import time
 from importlib import metadata
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import classify
 from .baselines import best_d_error
 from .classify import EvalProtocol, cross_validate
-from .embedding import fuse
+from .embedding import fuse, fuse_many
 from .graph import _count
 from .sbm import (
     BlockSpec,
@@ -51,6 +53,14 @@ def code_version() -> str:
         return "gfee-" + metadata.version("gfee")
     except metadata.PackageNotFoundError:
         return "unknown"
+
+
+def _n_grid(n_grid) -> list:
+    """The n grid as a list; an empty one raises before any draw."""
+    n_grid = list(n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must list at least one vertex count")
+    return n_grid
 
 
 def _draw_seed(seed: int, n: int, *key: int) -> np.random.SeedSequence:
@@ -92,24 +102,53 @@ def prior_coin_floor(priors, groups) -> float:
     return float(floor)
 
 
-def _subset_errors(spec: BlockSpec, n: int, subset_sizes, protocol: EvalProtocol,
-                   jobs: int | None = None):
-    """Fresh-draw Monte-Carlo errors, shaped (len(subset_sizes), replicates).
+def _subset_errors(spec: BlockSpec, n: int, subset_sizes, protocol: EvalProtocol):
+    """Fresh-draw Monte-Carlo errors, shaped (len(subset_sizes), replicates),
+    and each arm's seconds summed over the replicates.
 
     One graph collection is drawn per replicate and shared by every nested
-    subset arm, so arms differ only in which graphs they fuse.
+    subset arm, with one inner protocol, so arms differ only in which graphs
+    they fuse and every arm tests the same folds. The widest arm's fold
+    embeddings are made once per replicate, by one fuse_many call when the
+    first arm has planned its folds; arm m scores each fold on its first m*K
+    columns, which are fuse's embedding of graphs 1..m, bit for bit. Each arm
+    is one _run_cv call, timed with the shared embedding charged to the first
+    arm, so a replicate's arm times sum to its CV time. The folds are scored
+    on the calling thread: with every embedding made up front, a fold pool
+    has nothing to overlap with kNN, and its start-up and shutdown in each
+    _run_cv call made sim1 at n = 500, 1000 and 2000 slower at jobs = 2.
     """
     errors = np.empty((len(subset_sizes), protocol.replicates))
     times = np.zeros(len(subset_sizes))
     for rep in range(protocol.replicates):
-        collection, labels, _ = sample_collection(spec, n, _draw_seed(protocol.seed, n, rep))
-        inner = _inner_protocol(protocol, n, rep)
-        for si, m in enumerate(subset_sizes):
-            start = time.perf_counter()
-            report = cross_validate(collection.subset(range(m)), labels, inner, jobs=jobs)
-            errors[si, rep] = report.mean_error
-            times[si] += time.perf_counter() - start
+        errors[:, rep], seconds = _nested_arms(spec, n, rep, subset_sizes, protocol)
+        times += seconds
     return errors, times
+
+
+def _nested_arms(spec: BlockSpec, n: int, rep: int, subset_sizes, protocol: EvalProtocol):
+    """Replicate ``rep`` of _subset_errors: each arm's error and seconds. Its
+    draw and fold embeddings are freed on return, before the next draw."""
+    collection, labels, _ = sample_collection(spec, n, _draw_seed(protocol.seed, n, rep))
+    inner = _inner_protocol(protocol, n, rep)
+    widest = collection.subset(range(max(subset_sizes)))
+    points = {}  # the widest arm's embedding of each fold, keyed by its test mask
+
+    def embedder(tests, width):
+        if not points:
+            masked = [classify._training_labels(labels, test) for test in tests]
+            points.update(zip((test.tobytes() for test in tests), fuse_many(widest, masked)))
+        return lambda test: points[test.tobytes()][:, :width]
+
+    errors, seconds = [], []
+    for m in subset_sizes:
+        start = time.perf_counter()
+        # looked up on the module, where a caller may wrap it per CV run
+        report = classify._run_cv(functools.partial(embedder, width=m * labels.K),
+                                  labels, inner)
+        errors.append(report.mean_error)
+        seconds.append(time.perf_counter() - start)
+    return errors, seconds
 
 
 def _provenance(spec: BlockSpec, protocol: EvalProtocol) -> dict:
@@ -136,25 +175,24 @@ def _row(section: str, n, provenance: dict, wall_time_s: float,
     return row
 
 
-def run_simulation(spec: BlockSpec, n_grid, protocol: EvalProtocol,
-                   jobs: int | None = None):
+def run_simulation(spec: BlockSpec, n_grid, protocol: EvalProtocol):
     """Classification error per vertex count and nested graph subset.
 
     Every replicate draws a fresh collection; subsets are the nested
     prefixes 1..m for m = 1..M. Returns table rows ready for write_table.
     """
+    n_grid = _n_grid(n_grid)
     subset_sizes = list(range(1, spec.M + 1))
     base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:
-        errors, times = _subset_errors(spec, n, subset_sizes, protocol, jobs)
+        errors, times = _subset_errors(spec, n, subset_sizes, protocol)
         for si, m in enumerate(subset_sizes):
             rows.append(_row("simulation", n, base, times[si], graphs=m, errors=errors[si]))
     return rows
 
 
-def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol,
-                    jobs: int | None = None):
+def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol):
     """Empirical checks of the three structural claims.
 
     Emits (a) the class-mean convergence curve over n, (b) the row-uniqueness
@@ -163,9 +201,7 @@ def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol,
     monotonicity table. (b)'s error is (c)'s all-graphs arm; its verdict,
     witness and floor come from one coincident_groups call.
     """
-    if not len(n_grid):
-        raise ValueError("n_grid must list at least one vertex count")
-    n_grid = sorted(n_grid)
+    n_grid = sorted(_n_grid(n_grid))
     base = _provenance(spec, protocol)
     rows = []
 
@@ -179,7 +215,7 @@ def verify_theorems(spec: BlockSpec, n_grid, protocol: EvalProtocol,
                          max_dev=float(np.mean(devs))))
 
     monotonicity = [{**row, "section": "monotonicity"}
-                    for row in run_simulation(spec, n_grid[-1:], protocol, jobs)]
+                    for row in run_simulation(spec, n_grid[-1:], protocol)]
     top = monotonicity[-1]
     groups = coincident_groups(spec)
     rows.append(_row("identifiability", top["n"], base, top["wall_time_s"],
@@ -198,6 +234,7 @@ def run_baseline(spec: BlockSpec, method: str, n_grid, protocol: EvalProtocol,
     One collection is drawn per n and shared across methods' subset arms;
     replicates are CV re-splits on that draw.
     """
+    n_grid = _n_grid(n_grid)
     base = _provenance(spec, protocol)
     rows = []
     for n in n_grid:

@@ -409,8 +409,8 @@ def test_fold_pool_keeps_at_most_jobs_plus_one_fold_embeddings_alive(monkeypatch
         return knn_batch_real(*args)
 
     monkeypatch.setattr(classify, "_knn_batch", knn_batch)
-    classify._run_cv(embed_for_fold, y, EvalProtocol(folds=5, replicates=2, neighbor_count=1),
-                     jobs)
+    classify._run_cv(lambda tests: embed_for_fold, y,
+                     EvalProtocol(folds=5, replicates=2, neighbor_count=1), jobs)
     assert len(alive) == 10 and max(alive) <= jobs + 1
     if jobs == 1:
         assert alive == [1] * 10
@@ -440,7 +440,7 @@ def test_fold_pool_runs_at_most_jobs_embeddings_at_once(jobs):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        report = classify._run_cv(embed_for_fold, y,
+        report = classify._run_cv(lambda tests: embed_for_fold, y,
                                   EvalProtocol(folds=3, replicates=2, neighbor_count=1), jobs)
     finally:
         sys.setswitchinterval(interval)
@@ -463,7 +463,7 @@ def test_failing_fold_stops_the_pool_and_leaves_no_thread(monkeypatch, jobs, whe
     points = rng.normal(size=(40, 2))
     proto = EvalProtocol(folds=5, replicates=4, neighbor_count=1, seed=2)
     planned = []
-    classify._run_cv(lambda test: planned.append(test) or points, y, proto)
+    classify._run_cv(lambda tests: planned.extend(tests) or (lambda test: points), y, proto)
     # the failing fold is the third, found by its test mask: a shared call
     # counter would race between worker threads
     bad = planned[2]
@@ -486,7 +486,7 @@ def test_failing_fold_stops_the_pool_and_leaves_no_thread(monkeypatch, jobs, whe
         monkeypatch.setattr(classify, "_knn_batch", knn_batch)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"fold {where} failed") as failure:
-        classify._run_cv(embed_for_fold, y, proto, jobs)
+        classify._run_cv(lambda tests: embed_for_fold, y, proto, jobs)
     # counted while ``failure`` holds the traceback, and with it _run_cv's
     # frame: the pool must be shut down by _run_cv, not by garbage collection
     assert threading.active_count() == before

@@ -17,6 +17,7 @@ from gfee import (
     fuse,
     load_binary,
 )
+from gfee.embedding import fuse_many
 from gfee.graph import adjacency_terms
 
 from helpers import (
@@ -174,6 +175,41 @@ def test_fuse_names_the_graph_and_vertex_of_a_non_finite_row():
     with pytest.raises(ValueError, match=r"^graph 2: vertex 1 has a non-finite entry$") as err:
         fuse(GraphCollection((good, bad)), as_labels([1, 2, 1, 3]))
     assert err.value.graph == 2
+
+
+@pytest.mark.parametrize("folds", [1, 3, 10])
+def test_fuse_many_matches_fuse_bit_for_bit(folds):
+    # a dense term multiplies each encoder alone: at n = 50 this BLAS rounds
+    # A @ [W_1 | ... | W_F] differently from A @ W_f in the last bits
+    rng = np.random.default_rng(folds)
+    n, m = 50, 300
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    u[:30] = v[:30]  # self-loops
+    u[30:60], v[30:60] = u[60:90], v[60:90]  # duplicate edges
+    graphs = (EdgeList(u, v, n=n),
+              EdgeList(u, v, rng.uniform(0.1, 3.0, m), n=n, directed=True),
+              DenseGraph(rng.uniform(size=(n, n))))
+    y = rng.integers(1, 4, n)
+    labelings = [as_labels(np.where(rng.random(n) < 0.2, 0, y), K=3) for _ in range(folds)]
+    for collection in [GraphCollection((g,)) for g in graphs] + [GraphCollection(graphs)]:
+        fused = fuse_many(collection, labelings)
+        assert len(fused) == folds
+        for Z, labels in zip(fused, labelings):
+            want = fuse(collection, labels)
+            assert Z.shape == want.shape and Z.tobytes() == want.tobytes()
+
+
+def test_fuse_many_names_the_graph_and_vertex_of_a_non_finite_row():
+    good = EdgeList([0, 1], [1, 2], [1.0, 1.0], n=4)
+    bad = EdgeList([0, 0, 2], [1, 1, 3], [1.5e308, 1.5e308, 1.0], n=4)
+    labelings = [as_labels(y, K=3) for y in ([1, 2, 1, 3], [0, 2, 1, 3], [1, 2, 0, 3])]
+    with pytest.raises(ValueError, match=r"^graph 2: vertex 1 has a non-finite entry$") as err:
+        fuse_many(GraphCollection((good, bad)), labelings)
+    assert err.value.graph == 2
+    with pytest.raises(ValueError, match="no training labels"):
+        fuse_many(GraphCollection((good,)), labelings + [as_labels([0, 0, 0, 0], K=3)])
+    with pytest.raises(ValueError, match="disagree on vertex or class count"):
+        fuse_many(GraphCollection((good,)), labelings + [as_labels([1, 2, 1, 3], K=4)])
 
 
 def test_edge_order_does_not_matter():

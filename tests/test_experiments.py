@@ -7,16 +7,18 @@ import pytest
 from gfee import (
     BlockSpec,
     EvalProtocol,
+    cross_validate,
     prior_coin_floor,
     run_baseline,
     run_simulation,
     class_mean_deviation,
     named_spec,
+    sample_collection,
     verify_theorems,
     write_gnuplot,
     write_table,
 )
-from gfee import experiments
+from gfee import classify, experiments
 
 SIM1 = named_spec("sim1")
 CONFUSABLE = BlockSpec(
@@ -101,16 +103,45 @@ def test_verify_theorems_non_identifiable_floor():
     assert abs(float(ident["oracle_floor"]) - 0.4) < 1e-15
 
 
-def test_empty_n_grid():
-    proto = EvalProtocol(folds=4, replicates=1, seed=31)
-    with pytest.raises(ValueError, match="at least one vertex count"):
-        verify_theorems(SIM1, [], proto)
-    assert run_simulation(SIM1, [], proto) == []
-    assert run_baseline(SIM1, "gfee", [], proto) == []
-
-
 GRID_RUNNERS = {"simulate": run_simulation, "verify": verify_theorems,
                 "baseline": lambda *a: run_baseline(a[0], "gfee", *a[1:])}
+
+
+@pytest.mark.parametrize("runner", GRID_RUNNERS.values(), ids=GRID_RUNNERS.keys())
+def test_empty_n_grid(runner):
+    # simulate and baseline returned no rows, which write_table wrote as "\n"
+    with pytest.raises(ValueError, match="^n_grid must list at least one vertex count$"):
+        runner(SIM1, iter([]), EvalProtocol(folds=4, replicates=1, seed=31))
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("sim", ["sim1", "sim2"])
+@pytest.mark.parametrize("sizes", [[1, 2, 3], [2], [1, 3]], ids=["1,2,3", "2", "1,3"])
+def test_subset_errors_equal_one_cross_validate_per_arm(monkeypatch, sizes, sim, jobs):
+    # the arms share one embedding per fold and score on one thread; each
+    # must report what cross_validate reports, at any jobs, on its own
+    # subset, draw and inner protocol
+    spec, n = named_spec(sim), 300
+    proto = EvalProtocol(folds=5, replicates=2, seed=13)
+    reports = []
+    run_cv = classify._run_cv
+    monkeypatch.setattr(classify, "_run_cv",
+                        lambda *a, **kw: reports.append(run_cv(*a, **kw)) or reports[-1])
+    errors, times = experiments._subset_errors(spec, n, sizes, proto)
+    nested = reports[:]
+    reports.clear()
+    for rep in range(proto.replicates):
+        collection, labels, _ = sample_collection(spec, n, experiments._draw_seed(13, n, rep))
+        inner = experiments._inner_protocol(proto, n, rep)
+        for m in sizes:
+            cross_validate(collection.subset(range(m)), labels, inner, jobs=jobs)
+    assert len(nested) == len(reports) == len(sizes) * proto.replicates
+    for got, want in zip(nested, reports):
+        assert got.to_dict() == want.to_dict()
+        assert got.per_fold.tobytes() == want.per_fold.tobytes()
+    assert errors.tolist() == np.reshape([r.mean_error for r in reports],
+                                         (proto.replicates, len(sizes))).T.tolist()
+    assert times.shape == (len(sizes),) and (times > 0).all()
 BAD_GRID_ENTRIES = {"": (300.7, r"^n must be an integer, got 300\.7$"),
                     "-negative": (-1, r"^n must be >= 1, got -1$"),
                     "-zero": (0, r"^n must be >= 1, got 0$")}
