@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +19,7 @@ from gfee import (
     sample_graph,
     sample_labels,
 )
+from gfee import sbm
 from gfee.sbm import _bernoulli_indices, _unrank_triu
 
 from helpers import coincident_groups_loop, empirical_block_density, sample_pairwise, to_adjacency
@@ -191,6 +193,22 @@ def test_sample_graph_rejects_unknown_labels():
         sample_graph(LabelVector([1, 0, 2], K=2), np.full((2, 2), 0.1), rng=1)
 
 
+def test_sample_graph_accepts_a_plain_label_array():
+    B = np.eye(2) * 0.5
+    e = sample_graph(np.array([1, 2, 1, 2] * 10), B, rng=0)
+    ref = sample_graph(LabelVector([1, 2, 1, 2] * 10, K=2), B, rng=0)
+    assert np.array_equal(e.u, ref.u) and np.array_equal(e.v, ref.v) and e.n == 40
+
+
+@pytest.mark.parametrize("labels, match", [
+    ([1.5, 2, 1, 2], "labels must be whole numbers"),
+    ([1, 3, 1, 2], r"label outside 0\.\.2"),
+])
+def test_sample_graph_rejects_plain_labels_it_cannot_read(labels, match):
+    with pytest.raises(ValueError, match=match):
+        sample_graph(labels, np.eye(2) * 0.5, rng=0)
+
+
 def test_dcsbm_probability_overflow():
     y = sample_labels(10, [1.0], 17)
     with pytest.raises(ValueError, match="> 1"):
@@ -322,6 +340,45 @@ def test_sample_collection_stream_pinned(name, digest):
         h.update(g.u.astype("<i8").tobytes())
         h.update(g.v.astype("<i8").tobytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, bound", [("sim1", 1.2), ("sim2", 3.0)])
+def test_sample_collection_peak_is_close_to_what_it_returns(name, bound):
+    # the block draws write into each graph's final arrays, so the traced
+    # peak stays near the memory the draw still holds; sim2 also keeps its
+    # thinning candidates and one uniform per candidate
+    tracemalloc.start()
+    try:
+        drawn = sample_collection(named_spec(name), 3000, 20261)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drawn[0].M == 3
+    assert peak <= bound * held
+
+
+def test_sample_graph_grows_its_arrays_when_a_draw_overshoots(monkeypatch):
+    # every block with P > 0 keeps every pair, far beyond the expected count
+    # the arrays are sized for, so the writes fit only if the arrays grow;
+    # class 3 is empty and block (1, 2) has P = 0
+    def every_pair(N, p, rng):
+        return np.arange(N if p > 0 else 0, dtype=np.int64)
+
+    monkeypatch.setattr(sbm, "_bernoulli_indices", every_pair)
+    y = np.array([2, 1, 1, 2, 1, 4, 2, 1, 4, 1] * 3)
+    B = np.full((4, 4), 0.02)
+    B[0, 1] = B[1, 0] = 0.0
+    e = sample_graph(y, B, rng=0)
+    members = [np.flatnonzero(y == k) for k in range(1, 5)]
+    expected = []
+    for k in range(4):
+        expected += combinations(members[k], 2)
+        for l in range(k + 1, 4):
+            if B[k, l] > 0:
+                expected += [(min(a, b), max(a, b)) for a in members[k] for b in members[l]]
+    assert len(expected) == 30 * 29 // 2 - 15 * 9
+    assert e.u.dtype == e.v.dtype == np.int32
+    assert list(zip(e.u.tolist(), e.v.tolist())) == expected
 
 
 def test_normalized_blocks_values():
