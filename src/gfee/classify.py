@@ -8,8 +8,9 @@ rule: a query's k nearest training points are settled by its (k+1)-th
 distance against its k-th, and then _vote decides. Brute force reads both
 from one partial selection over all training rows, with no slack: where the
 (k+1)-th is not above the k-th, the row is sorted in full and distance ties
-go to the lower training index. A fold whose distance matrix would need more
-than one chunk, on points at most _TREE_MAX_WIDTH wide, goes to a kd-tree,
+go to the lower training index. It scores the queries in cache-sized blocks
+of rows. A fold whose distance matrix would need more than one chunk of
+_CHUNK_ENTRIES, on points at most _TREE_MAX_WIDTH wide, goes to a kd-tree,
 with both paths' rounding as the slack. Every query the tree cannot settle,
 or whose top vote is shared, is brute-forced, so the predictions are the
 same either way.
@@ -32,8 +33,18 @@ import numpy as np
 from .embedding import fuse
 from .graph import GraphCollection, LabelVector, _count, as_labels, class_counts
 
-# cap on the scratch distance matrix (entries) when batching queries
+# cap on brute force's scratch distance block (entries); a query batch past
+# one such chunk, on narrow points, goes to the kd-tree
 _CHUNK_ENTRIES = 2_000_000
+# scratch per block of brute-force query rows (entries, at least 16 rows):
+# the distance and partition arrays stay cache-sized, and malloc keeps them
+# instead of handing them back to the kernel after every call. On sim-grid's
+# command (folds of 199 x 1801 points at n = 2000; medians of 10 runs on a
+# 2-CPU VM) it took minor faults from 195k to 91k, system time from 0.41 to
+# 0.19 s and peak RSS from 71.8 to 67.8 MB. 65,536 gave 37k faults and
+# 0.12 s, but splits spectral-sim3's 100 x 900 calls in two, which read
+# about 4% slower; 98,304 keeps them whole
+_BLOCK_ENTRIES = 98_304
 # widest points the kd-tree route takes: on sim3's omnibus embedding at
 # n = 5000 the tree took 18 ms per fold at width 12 and 40 ms from width 16,
 # where brute force took 22 ms throughout
@@ -90,13 +101,17 @@ def _knn_brute(train_X, train_y, query_X, k, K):
     ``argpartition`` at the (k+1)-th place gives each row's k nearest training
     points, ordered by (distance, training index), and its (k+1)-th distance.
     A row where that is not above the k-th, a tie across the k-th place, is
-    sorted in full, stably, so ties keep training-index order; _vote decides."""
+    sorted in full, stably, so ties keep training-index order; _vote decides.
+    Queries are scored in blocks of rows with about _BLOCK_ENTRIES distances
+    each, never more than _CHUNK_ENTRIES; no row's answer depends on which
+    rows share its block."""
     preds = np.empty(len(query_X), dtype=np.int64)
     train_sq = (train_X ** 2).sum(axis=1)
-    chunk = max(1, _CHUNK_ENTRIES // max(1, len(train_X)))
+    n_train = max(1, len(train_X))
+    block = max(1, min(max(16, _BLOCK_ENTRIES // n_train), _CHUNK_ENTRIES // n_train))
     kth = min(k, len(train_X) - 1)
-    for lo in range(0, len(query_X), chunk):
-        q = query_X[lo:lo + chunk]
+    for lo in range(0, len(query_X), block):
+        q = query_X[lo:lo + block]
         # BLAS multiplies a lone row by gemv, whose last bits differ from a
         # batch's gemm: padded to two rows, it is scored as in a batch. A
         # batch's product stays an unnamed temporary, which numpy reuses
@@ -111,7 +126,9 @@ def _knn_brute(train_X, train_y, query_X, k, K):
         if tied.any():
             order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         nbr_dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
-        preds[lo:lo + chunk] = _vote(train_y[order] - 1, nbr_dist, K)[0]
+        preds[lo:lo + block] = _vote(train_y[order] - 1, nbr_dist, K)[0]
+        # freed before the next block's distances are formed, not after
+        del d2, part
     return preds
 
 
@@ -203,10 +220,10 @@ def _run_cv(embedder, labels: LabelVector, protocol: EvalProtocol,
     fold with fewer than k training points raises before any embedding runs.
     embedder is then called once, on the calling thread, with the plan's
     test masks in order, and one loop scores the folds in that order on the
-    calling thread. With
-    w = min(jobs, folds) > 1 workers, folds i..i+w are submitted before fold
-    i's embedding is taken, so w embeddings run while fold i is scored and at
-    most w + 1 are alive; with one, each fold is embedded when it is scored.
+    calling thread. With w = min(jobs, number of planned (replicate, fold)
+    pairs) > 1 workers, folds i..i+w are submitted before fold i's embedding
+    is taken, so w embeddings run while fold i is scored and at most w + 1
+    are alive; with one, each fold is embedded when it is scored.
     """
     jobs = jobs if jobs is None else _count(jobs, "jobs", 1)
     y = labels.y
@@ -229,8 +246,9 @@ def _run_cv(embedder, labels: LabelVector, protocol: EvalProtocol,
             if n_train < k:
                 raise ValueError(f"k={k} exceeds {n_train} training points "
                                  f"in fold {f + 1} of replicate {r + 1}")
-            # a class whose every labeled vertex is in the test fold
-            short_folds += int((np.bincount(y[test], minlength=K + 1)[1:] == counts).any())
+            # a class with labeled vertices, every one of them in the test fold
+            lost = np.bincount(y[test], minlength=K + 1)[1:] == counts
+            short_folds += int((lost & (counts > 0)).any())
             tasks.append((r, f, test))
     per_fold = np.full((protocol.replicates, protocol.folds), np.nan)
     wrong = np.zeros(protocol.replicates, dtype=np.int64)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -166,6 +167,81 @@ def test_knn_brute_small_chunks_match_oracle(monkeypatch):
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(classify._knn_brute(train, labels, query, k, 2),
                                   knn_batch_sort(train, labels, query, k, 2))
+
+
+def _brute_in_blocks(train, labels, query, k, K, chunk_entries, block_entries):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_CHUNK_ENTRIES", chunk_entries)
+        mp.setattr(classify, "_BLOCK_ENTRIES", block_entries)
+        return classify._knn_brute(train, labels, query, k, K)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(grid_knn_cases())
+def test_knn_brute_answers_do_not_depend_on_the_block_size(case):
+    # blocks of 1, 2 and 3 rows, where the _CHUNK_ENTRIES cap undercuts the
+    # 16-row floor, and one whole block: k-th-place ties fall on either side
+    # of block boundaries, and a lone last row is padded to two
+    train, labels, query, k, K = case
+    whole = _brute_in_blocks(train, labels, query, k, K, 2_000_000, len(query) * len(train))
+    assert np.array_equal(whole, knn_batch_sort(train, labels, query, k, K))
+    for rows in (1, 2, 3):
+        assert np.array_equal(
+            _brute_in_blocks(train, labels, query, k, K, rows * len(train), 2_000_000), whole)
+
+
+def test_knn_brute_blocks_from_the_budget_match_oracle():
+    # 49 queries on a 1-D grid: a budget of 0 gives the 16-row floor, with a
+    # lone last row, and 17 rows' worth gives blocks of 17, 17 and 15; rows
+    # that tie across the k-th place fall in every block, the lone row too
+    rng = np.random.default_rng(28)
+    train = rng.integers(-4, 5, (40, 1)).astype(np.float64)
+    labels = rng.integers(1, 4, 40)
+    query = rng.integers(-4, 5, (49, 1)).astype(np.float64)
+    k = 5
+    d2 = (query - train.T) ** 2
+    kth = np.sort(d2, axis=1)[:, k - 1:k]
+    tied_rows = np.flatnonzero((d2 <= kth).sum(axis=1) > k)
+    assert 48 in tied_rows and set(tied_rows // 16) == {0, 1, 2, 3}
+    assert set(tied_rows // 17) == {0, 1, 2}
+    oracle = knn_batch_sort(train, labels, query, k, 3)
+    for budget in (0, 17 * len(train), 49 * len(train)):
+        assert np.array_equal(
+            _brute_in_blocks(train, labels, query, k, 3, 2_000_000, budget), oracle)
+
+
+def test_knn_brute_scratch_stays_below_one_distance_matrix():
+    # a sim-grid fold at n = 2000, 12 wide: one call held two whole 199 x 1801
+    # matrices at once (5.8 MB traced); blocks of rows hold about 1.6 MB
+    rng = np.random.default_rng(28)
+    train = rng.normal(size=(1801, 12))
+    query = rng.normal(size=(199, 12))
+    labels = rng.integers(1, 5, 1801)
+    tracemalloc.start()
+    try:
+        preds = classify._knn_brute(train, labels, query, 5, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(preds, knn_batch_sort(train, labels, query, 5, 4))
+    assert peak < query.size / 12 * len(train) * 8
+
+
+def test_knn_route_is_set_by_the_chunk_cap_not_the_block_budget(monkeypatch):
+    # cv-dense's 1000 x 9000 folds, 12 wide, need more than one chunk and
+    # take the kd-tree; sim-grid's 200 x 1800 folds stay on brute force
+    import scipy.spatial
+
+    trees = []
+    tree = scipy.spatial.cKDTree
+    monkeypatch.setattr(scipy.spatial, "cKDTree", lambda X: trees.append(X.shape) or tree(X))
+    rng = np.random.default_rng(28)
+    for n_query, n_train in [(1000, 9000), (200, 1800)]:
+        train = rng.normal(size=(n_train, 12))
+        labels = rng.integers(1, 5, n_train)
+        query = rng.normal(size=(n_query, 12))
+        classify._knn_batch(train, labels, query, 5, 4)
+    assert trees == [(9000, 12)]
 
 
 def test_lone_query_is_scored_as_in_a_batch(monkeypatch):
@@ -357,6 +433,26 @@ def test_cv_singleton_class_trains_without_it():
     assert report.confusion.sum() == 60 * 2  # every labeled vertex once per replicate
     assert report.confusion[2].sum() == 2  # the singleton is scored as usual
     assert np.isfinite(report.per_replicate).all()
+
+
+def test_cv_counts_no_short_fold_for_a_class_with_no_labeled_vertex():
+    # class 4 has no labeled vertex, so no fold can lose it: every fold
+    # counted as short before; a singleton class 3 still makes one short
+    # fold per replicate
+    coll, labels, _ = sample_collection(named_spec("sim1"), 400, 28)
+    y = labels.y.copy()
+    y[y == 4] = 0
+    proto = EvalProtocol(folds=5, replicates=2, seed=3)
+    empty = LabelVector(y, 4)
+    assert validate_collection(coll, empty) == ["empty class 4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cross_validate(coll, empty, proto)
+    assert report.confusion.sum() == 2 * (y > 0).sum()
+    singleton = y.copy()
+    singleton[np.flatnonzero(y == 3)[1:]] = 0
+    with pytest.warns(UserWarning, match=r"^2 fold\(s\) trained without some class"):
+        cross_validate(coll, LabelVector(singleton, 4), proto)
 
 
 def test_cv_report_is_the_same_at_any_jobs():
